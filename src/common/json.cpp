@@ -1,29 +1,54 @@
 #include "common/json.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <system_error>
 
 #include "common/strings.hpp"
 
 namespace rw::json {
 
-std::string Writer::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+// Append `s` to `out` with JSON string escaping. Runs of characters that
+// need no escape are appended in one piece.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += strformat("\\u%04x", c);
-        else
-          out += c;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];  // 20 digits of UINT64_MAX, or sign + 19 of INT64_MIN
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+std::string Writer::escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
@@ -88,15 +113,18 @@ Writer& Writer::key(std::string_view k) {
   if (has_items_.back()) out_ += ',';
   has_items_.back() = true;
   indent();
-  out_ += '"' + escape(k) + "\":";
-  if (pretty_) out_ += ' ';
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += pretty_ ? "\": " : "\":";
   after_key_ = true;
   return *this;
 }
 
 Writer& Writer::value(std::string_view s) {
   prepare_value();
-  out_ += '"' + escape(s) + '"';
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
   return *this;
 }
 
@@ -106,24 +134,30 @@ Writer& Writer::value(double v) {
     out_ += "null";  // JSON has no Inf/NaN
     return *this;
   }
-  // %.17g round-trips any double; trim when a shorter form is exact.
-  std::string s = strformat("%.17g", v);
-  if (const std::string shorter = strformat("%.15g", v);
-      std::stod(shorter) == v)
-    s = shorter;
-  out_ += s;
+  // The bytes of printf's %.15g when that reads back as exactly v, else
+  // of %.17g, which round-trips any double. to_chars with an explicit
+  // precision is specified to match printf in the "C" locale.
+  char buf[32];  // %.17g needs at most 24: "-d.dddddddddddddddde-308"
+  auto r = std::to_chars(buf, buf + sizeof buf, v,
+                         std::chars_format::general, 15);
+  double back = 0.0;
+  if (const auto parsed = std::from_chars(buf, r.ptr, back);
+      parsed.ec != std::errc{} || back != v)
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      17);
+  out_.append(buf, r.ptr);
   return *this;
 }
 
 Writer& Writer::value(std::uint64_t v) {
   prepare_value();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   prepare_value();
-  out_ += std::to_string(v);
+  append_int(out_, v);
   return *this;
 }
 

@@ -15,32 +15,29 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
   w.key("displayTimeUnit").value("ns");
   w.key("traceEvents").begin_array();
   // Pair ComputeStart/ComputeEnd per core into "X" complete events. One
-  // block at a time per core, so a single open slot per core suffices.
-  struct Open {
-    TimePs start = 0;
-    std::string label;
-    bool live = false;
-  };
-  std::vector<Open> open;
+  // block at a time per core, so a single open slot per core suffices; it
+  // points at the start event in `trace`, which outlives this loop.
+  std::vector<const sim::TraceEvent*> open;
   for (const auto& ev : trace) {
     if (!ev.core.is_valid()) continue;
     const std::size_t c = ev.core.index();
-    if (c >= open.size()) open.resize(c + 1);
+    if (c >= open.size()) open.resize(c + 1, nullptr);
     if (ev.kind == sim::TraceKind::kComputeStart) {
-      open[c] = Open{ev.time, ev.label, true};
-    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c].live &&
-               ev.label == open[c].label) {
+      open[c] = &ev;
+    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
+               ev.label == open[c]->label) {
+      const TimePs start = open[c]->time;
       w.begin_object();
       w.key("name").value(ev.label);
       w.key("cat").value("compute");
       w.key("ph").value("X");
       // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
-      w.key("ts").value(static_cast<double>(open[c].start) * 1e-6);
-      w.key("dur").value(static_cast<double>(ev.time - open[c].start) * 1e-6);
+      w.key("ts").value(static_cast<double>(start) * 1e-6);
+      w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
       w.key("pid").value(std::uint64_t{0});
       w.key("tid").value(static_cast<std::uint64_t>(c));
       w.end_object();
-      open[c].live = false;
+      open[c] = nullptr;
     }
   }
   w.end_array();

@@ -21,6 +21,28 @@ Graph radio_chain(Cycles fir = 20'000, Cycles iir = 15'000) {
   return g;
 }
 
+/// Fork-join whose branches differ in latency: a one-stage short branch
+/// beside a three-stage long one, every actor on its own core. Tokens of
+/// the short branch wait for the long one, so its edges need capacity 2.
+Graph skewed_forkjoin() {
+  Graph g;
+  const auto s = g.add_actor("src", 500, 0);
+  const auto a = g.add_actor("short", 5'000, 1);
+  const auto b1 = g.add_actor("long1", 32'000, 2);
+  const auto b2 = g.add_actor("long2", 32'000, 3);
+  const auto b3 = g.add_actor("long3", 32'000, 4);
+  const auto j = g.add_actor("join", 1'000, 5);
+  const auto k = g.add_actor("snk", 500, 6);
+  g.connect(s, a, 1, 1);
+  g.connect(s, b1, 1, 1);
+  g.connect(b1, b2, 1, 1);
+  g.connect(b2, b3, 1, 1);
+  g.connect(a, j, 1, 1);
+  g.connect(b3, j, 1, 1);
+  g.connect(j, k, 1, 1);
+  return g;
+}
+
 ExecConfig radio_cfg(std::uint64_t iters = 50) {
   ExecConfig cfg;
   cfg.frequency = mhz(400);
@@ -203,11 +225,14 @@ TEST(Buffers, ComputedCapacitiesAreWaitFree) {
 TEST(Buffers, MinimalityOneLess) {
   // Dropping any computed capacity below its lower bound must break
   // wait-freedom or be impossible; check that shrinking the whole vector
-  // by one where possible causes drops/underruns.
-  const auto g = radio_chain();
-  const auto sizing = compute_buffer_capacities(g, radio_cfg());
-  ASSERT_TRUE(sizing.wait_free);
+  // by one where possible causes drops/underruns. The rate-1 chains size
+  // every buffer to 1, so this uses the skewed fork-join.
+  const auto g = skewed_forkjoin();
   auto cfg = radio_cfg(300);
+  cfg.num_cores = g.actors().size();
+  cfg.source_period = microseconds(95);
+  const auto sizing = compute_buffer_capacities(g, cfg);
+  ASSERT_TRUE(sizing.wait_free);
   cfg.buffer_capacities = sizing.capacities;
   bool any_shrinkable = false;
   for (auto& c : cfg.buffer_capacities) {
@@ -216,7 +241,7 @@ TEST(Buffers, MinimalityOneLess) {
       any_shrinkable = true;
     }
   }
-  if (!any_shrinkable) GTEST_SKIP();
+  ASSERT_TRUE(any_shrinkable) << "every computed capacity is 1";
   const auto r = run_data_driven(g, cfg);
   EXPECT_GT(r.source_drops + r.sink_underruns, 0u);
 }

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "harness/harness.hpp"
 #include "perf/driver.hpp"
@@ -40,6 +41,15 @@ Exports run_and_export(const char* workload) {
   return e;
 }
 
+std::uint64_t fnv1a(std::string_view doc,
+                    std::uint64_t h = 1469598103934665603ull) {
+  for (const char c : doc) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 // The headline determinism claim: every export format is a pure function
 // of the workload, byte for byte, across two fresh identical runs.
 TEST(ExportTest, AllFormatsByteIdenticalAcrossRuns) {
@@ -49,6 +59,18 @@ TEST(ExportTest, AllFormatsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.chrome, b.chrome);
   EXPECT_EQ(a.folded, b.folded);
   EXPECT_EQ(a.csv, b.csv);
+}
+
+// Golden bytes of the JSON exporters for one fixed run (4-core bus,
+// pipeline, seed 9, scale 2, trace and PerfSession on). Determinism alone
+// would let a formatting change through unnoticed; these pin the exact
+// number rendering and escaping of both documents.
+TEST(ExportTest, GoldenPipelineExportBytes) {
+  const Exports e = run_and_export("pipeline");
+  EXPECT_EQ(e.chrome.size(), 11734u);
+  EXPECT_EQ(fnv1a(e.chrome), 443237117529205708ull);
+  EXPECT_EQ(e.json.size(), 4600u);
+  EXPECT_EQ(fnv1a(e.json), 772296469931160214ull);
 }
 
 TEST(ExportTest, ChromeTraceIsWellFormedJson) {
@@ -141,12 +163,9 @@ TEST(ExportTest, HarnessSerialAndParallelProduceSameExports) {
     for (const char* w : {"pipeline", "forkjoin"})
       s.add_run(w, [w](const harness::RunContext&) {
         const Exports e = run_and_export(w);
-        std::uint64_t h = 1469598103934665603ull;  // FNV-1a over all exports
-        for (const std::string* doc : {&e.json, &e.chrome, &e.folded, &e.csv})
-          for (const char c : *doc) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-          }
+        std::uint64_t h = fnv1a(e.json);  // FNV-1a over all exports
+        for (const std::string* doc : {&e.chrome, &e.folded, &e.csv})
+          h = fnv1a(*doc, h);
         RunMetrics m;
         m.set_extra("export_hash_lo", static_cast<double>(h & 0xffffffffull));
         m.set_extra("export_hash_hi", static_cast<double>(h >> 32));
