@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,33 @@ inline harness::ScenarioResult scrub_wall_clock(
     });
   }
   return result;
+}
+
+/// The common end of every gated bench, and its exit code. Each bench's
+/// gates live here and only here: nothing downstream re-checks the
+/// document. The verdict fails when `gates_ok` is false, when any run
+/// threw (a thrown run carries zeroed metrics that could slip through a
+/// threshold), or when the document cannot be written. The written
+/// document is wall-clock scrubbed with `threads` pinned to 1, so it is
+/// byte-identical across reruns and hosts.
+inline int finish(const std::string& path,
+                  std::vector<harness::ScenarioResult> results,
+                  bool gates_ok) {
+  for (harness::ScenarioResult& r : results) {
+    r = scrub_wall_clock(std::move(r));
+    r.threads_used = 1;
+    for (const harness::RunRecord& run : r.runs)
+      if (!run.ok) {
+        std::printf("gate FAIL: run %s threw: %s\n", run.label.c_str(),
+                    run.error.c_str());
+        gates_ok = false;
+      }
+  }
+  if (const auto s = harness::write_json(path, results); !s.ok()) {
+    std::printf("error: %s\n", s.error().to_string().c_str());
+    return 1;
+  }
+  return gates_ok ? 0 : 1;
 }
 
 }  // namespace rw::bench

@@ -13,10 +13,12 @@
 //
 // One rw::harness run per (period, mode) cell plus the baseline;
 // results land in BENCH_perf.json.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "harness/harness.hpp"
@@ -133,15 +135,31 @@ int main(int argc, char** argv) {
   t.print("virtual-platform sampling is free; on-target sampling pays "
           "~cost/period");
 
+  // Every run simulated something, and every profiled run carries the
+  // metric keys the table above and the document promise.
+  bool runs_ok = true;
+  for (const harness::RunRecord& r : result.runs) {
+    if (r.metrics.makespan == 0) {
+      std::printf("gate FAIL: %s has a zero makespan\n", r.label.c_str());
+      runs_ok = false;
+    }
+    if (r.label == "baseline") continue;
+    for (const char* key : {"period_us", "intrusive", "attribution_accuracy",
+                            "pmu.busy_cycles", "pmu.samples"})
+      if (std::none_of(r.metrics.extra.begin(), r.metrics.extra.end(),
+                       [key](const auto& kv) { return kv.first == key; })) {
+        std::printf("gate FAIL: %s lacks %s\n", r.label.c_str(), key);
+        runs_ok = false;
+      }
+  }
+
   std::printf("harness: %zu runs on %zu threads in %.0fms\n",
               result.runs.size(), result.threads_used,
               static_cast<double>(result.wall_ns) / 1e6);
-  if (const auto s = harness::write_json("BENCH_perf.json", {result});
-      !s.ok())
-    std::printf("warning: %s\n", s.error().to_string().c_str());
   std::printf("expected shape: virtual-platform rows show exactly 0%% "
               "overhead at every\nperiod; on-target overhead shrinks with "
               "the period (<5%% at the 10 us default);\naccuracy falls as "
               "samples get sparser.\n");
-  return default_period_ok ? 0 : 1;
+  return bench::finish("BENCH_perf.json", {result},
+                       default_period_ok && runs_ok);
 }

@@ -482,6 +482,9 @@ int main(int argc, char** argv) {
   Table tt({"tiles", "policy", "pending", "seq Mev/s", "par Mev/s",
             "par speedup", "identical"});
   bool tiled_identical = true;
+  // Every par run must really have run threaded; otherwise its identity
+  // row compares the sequential engine with itself.
+  bool all_threaded = true;
   double tiled_speedup = 0.0;
   for (const std::uint32_t tiles : cfg.tiles_axis) {
     for (const sim::QueuePolicy policy : kPolicies) {
@@ -507,6 +510,8 @@ int main(int argc, char** argv) {
             seq->metrics.extra_or("fingerprint_hi") ==
                 par->metrics.extra_or("fingerprint_hi");
         tiled_identical = tiled_identical && identical;
+        all_threaded =
+            all_threaded && par->metrics.extra_or("used_parallel") == 1.0;
         const double p = par->metrics.extra_or("events_per_sec");
         const double speedup = p / s;
         if (tiles == max_tiles &&
@@ -540,27 +545,23 @@ int main(int argc, char** argv) {
               etp->metrics.extra_or("wall_ms"),
               e2e_tiled_identical ? "identical" : "DIVERGENT");
   tiled_identical = tiled_identical && e2e_tiled_identical;
+  all_threaded =
+      all_threaded && etp->metrics.extra_or("used_parallel") == 1.0;
 
   const bool speedup_ok = !parallel_capable || tiled_speedup >= 2.0;
-  std::printf("parallel gates: fingerprints %s; %u-tile speedup %.2fx "
-              "(>=2x gate %s)\n",
-              tiled_identical ? "identical" : "DIVERGENT", max_tiles,
+  std::printf("parallel gates: fingerprints %s; par runs %s; %u-tile "
+              "speedup %.2fx (>=2x gate %s)\n",
+              tiled_identical ? "identical" : "DIVERGENT",
+              all_threaded ? "threaded" : "NOT THREADED", max_tiles,
               tiled_speedup,
               parallel_capable ? (speedup_ok ? "pass" : "FAIL")
                                : "skipped: too few hardware threads");
 
-  // Scrub the nondeterministic wall-clock fields (and the throughputs
-  // derived from them) so the exported document is byte-identical across
-  // reruns — the timing lives on stdout and in this process's gates.
-  const harness::ScenarioResult scrubbed = bench::scrub_wall_clock(result);
-  if (const auto s = harness::write_json("BENCH_kernel.json", {scrubbed});
-      !s.ok())
-    std::printf("warning: %s\n", s.error().to_string().c_str());
   std::printf("expected shape: speedup grows with pending depth (the heap "
               "pays O(log n)\nper event); >=2x at 10k pending "
               "(measured %.2fx, floor %s); every row identical.\n",
               deep_speedup, queue_perf_ok ? "held" : "BROKEN");
-  return deterministic && queue_perf_ok && tiled_identical && speedup_ok
-             ? 0
-             : 1;
+  return bench::finish("BENCH_kernel.json", {result},
+                       deterministic && queue_perf_ok && tiled_identical &&
+                           all_threaded && speedup_ok);
 }

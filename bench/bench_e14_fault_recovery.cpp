@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "fault/injector.hpp"
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
     for (const auto policy : policies) {
       const auto& m = result.find(cell(rate, policy))->metrics;
       const double goodput = m.extra_or("fault.goodput");
-      if (goodput + 1e-9 < none_goodput) shape_ok = false;  // recovery >= none
+      if (goodput < none_goodput) shape_ok = false;  // recovery >= none
       t.add_row({strformat("%.0f", rate), fault::recovery_policy_name(policy),
                  Table::percent(goodput),
                  Table::num(m.extra_or("fault.injected")),
@@ -193,27 +194,29 @@ int main(int argc, char** argv) {
   }
   {
     const auto& m = result.find("remap_vs_oracle")->metrics;
-    if (m.extra_or("remap_vs_oracle") < 1.0) shape_ok = false;
+    // The online remap sits at or above the oracle and no better than
+    // the healthy platform.
+    if (m.extra_or("remap_vs_oracle") < 1.0 ||
+        m.extra_or("degradation_vs_healthy") < 1.0)
+      shape_ok = false;
     std::printf("remap gate: healthy %s -> remap %s (oracle %s, %.0f tasks "
-                "moved, %.2fx oracle)\n",
+                "moved, %.2fx oracle, %.2fx healthy)\n",
                 format_time(static_cast<TimePs>(
                     m.extra_or("healthy_makespan_ps"))).c_str(),
                 format_time(m.makespan).c_str(),
                 format_time(static_cast<TimePs>(
                     m.extra_or("oracle_makespan_ps"))).c_str(),
-                m.extra_or("moved_tasks"), m.extra_or("remap_vs_oracle"));
+                m.extra_or("moved_tasks"), m.extra_or("remap_vs_oracle"),
+                m.extra_or("degradation_vs_healthy"));
   }
 
   std::printf("harness: %zu runs on %zu threads in %.0fms\n",
               result.runs.size(), result.threads_used,
               static_cast<double>(result.wall_ns) / 1e6);
-  if (const auto s = harness::write_json("BENCH_fault.json", {result});
-      !s.ok())
-    std::printf("warning: %s\n", s.error().to_string().c_str());
   std::printf("expected shape: none-policy goodput collapses past a knee "
               "(deadlock on first\nwedging crash); watchdog_restart stays "
               "near 100%% with recovery latency bounded\nby ~2 watchdog "
               "periods; watchdog_remap >= none everywhere; identity gates "
               "hold.\n");
-  return shape_ok ? 0 : 1;
+  return bench::finish("BENCH_fault.json", {result}, shape_ok);
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "critpath/driver.hpp"
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
       });
     }
   }
-  harness::ScenarioResult result = harness::Runner().run(scenario);
+  const auto result = harness::Runner().run(scenario);
 
   std::printf("E17: what-if predictions vs re-simulated truth (seed %llu)\n",
               static_cast<unsigned long long>(kSeed));
@@ -151,32 +152,33 @@ int main(int argc, char** argv) {
   }
   t.print("per workload x fabric: sweep accuracy and adviser outcome");
 
+  // Both fabrics are audited: at least one bus_ and one mesh_ cell.
+  const auto has_prefix = [&cells](const char* prefix) {
+    return std::any_of(cells.begin(), cells.end(), [prefix](const auto& c) {
+      return c.rfind(prefix, 0) == 0;
+    });
+  };
+  const bool fabrics_ok = has_prefix("bus_") && has_prefix("mesh_");
   const bool err_ok = worst_err <= kErrorBound;
   const bool ops_ok = worst_ops <= kOpsPerNodeBound;
   std::printf("accuracy gate: worst rel err %.4f (bound %.2f) %s\n",
               worst_err, kErrorBound, err_ok ? "OK" : "VIOLATED");
   std::printf("identity gate: unedited replay == observed %s\n",
               all_identity ? "OK" : "VIOLATED");
-  std::printf("never-slower gate: %s on %zu cells\n",
-              never_slower ? "OK" : "VIOLATED", cells.size());
+  std::printf("never-slower gate: %s on %zu cells (%s)\n",
+              never_slower ? "OK" : "VIOLATED", cells.size(),
+              fabrics_ok ? "bus and mesh" : "NOT both fabrics");
   std::printf("scaling gate: worst %.1f ops/node (bound %.0f) %s\n",
               worst_ops, kOpsPerNodeBound, ops_ok ? "OK" : "VIOLATED");
 
   std::printf("harness: %zu runs on %zu threads in %.0fms\n",
               result.runs.size(), result.threads_used,
               static_cast<double>(result.wall_ns) / 1e6);
-  // Scrub the nondeterministic wall-clock fields so the exported document
-  // is byte-identical for a fixed seed.
-  result.threads_used = 1;
-  result.wall_ns = 0;
-  for (harness::RunRecord& r : result.runs) r.metrics.wall_ns = 0;
-  if (const auto s = harness::write_json("BENCH_critpath.json", {result});
-      !s.ok())
-    std::printf("warning: %s\n", s.error().to_string().c_str());
   std::printf("expected shape: rel err 0.0000 everywhere (the replay is "
               "exact for reservation-order executors);\nadviser finds "
               "moves where the baseline overloads a PE and never "
               "regresses.\n");
-  return all_valid && all_identity && never_slower && err_ok && ops_ok ? 0
-                                                                       : 1;
+  return bench::finish("BENCH_critpath.json", {result},
+                       all_valid && all_identity && never_slower &&
+                           fabrics_ok && err_ok && ops_ok);
 }

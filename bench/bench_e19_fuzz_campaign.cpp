@@ -90,14 +90,9 @@ int main(int argc, char** argv) {
               a.report.failures.size(), green ? "pass" : "FAIL",
               coverage * 100.0, coverage_ok ? "pass" : "FAIL");
 
-  std::vector<harness::ScenarioResult> scrubbed;
-  for (const harness::ScenarioResult& batch : a.report.batches)
-    scrubbed.push_back(bench::scrub_wall_clock(batch));
-  if (const auto s = harness::write_json("BENCH_fuzz.json", scrubbed);
-      !s.ok())
-    std::printf("warning: %s\n", s.error().to_string().c_str());
   std::printf("expected shape: both executions byte-identical, zero "
               "failures, full-matrix coverage from the directed fill.\n");
-  return report_identical && batches_identical && green && coverage_ok ? 0
-                                                                       : 1;
+  return bench::finish(
+      "BENCH_fuzz.json", a.report.batches,
+      report_identical && batches_identical && green && coverage_ok);
 }

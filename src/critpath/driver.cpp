@@ -333,11 +333,9 @@ CritReport run_critpath(const CritOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = critpath_json(opts, rep.workloads);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwcritpath", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwcritpath", opts.seed,
+                         critpath_json(opts, rep.workloads))
+        << "\n";
     return rep;
   }
 

@@ -77,7 +77,8 @@ struct CritReport {
   int exit_code = 0;
 };
 
-/// Combined deterministic JSON document (legacy schema rw-critpath-1).
+/// Combined deterministic JSON document (schema rw-critpath-1): the
+/// envelope payload.
 std::string critpath_json(const CritOptions& opts,
                           const std::vector<WorkloadReport>& reports);
 

@@ -181,11 +181,9 @@ ErtReport run_ert(const ErtOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = ert_json(opts, rep.tenants);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwert", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwert", opts.seed,
+                         ert_json(opts, rep.tenants))
+        << "\n";
     return rep;
   }
 

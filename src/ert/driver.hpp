@@ -36,7 +36,7 @@ struct ErtReport {
   std::string trace_path;  // empty when not written
 };
 
-/// The legacy (pre-envelope) combined document, schema rw-ert-run-1.
+/// The combined document (schema rw-ert-run-1): the envelope payload.
 std::string ert_json(const ErtOptions& opts,
                      const std::vector<TenantStats>& tenants);
 

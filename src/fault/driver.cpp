@@ -226,11 +226,9 @@ FaultReport run_fault(const FaultOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = fault_json(opts, rep.outcomes);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwfault", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwfault", opts.seed,
+                         fault_json(opts, rep.outcomes))
+        << "\n";
     return rep;
   }
 

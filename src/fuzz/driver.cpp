@@ -194,11 +194,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& out) {
   if (write_failed && rep.exit_code == 0) rep.exit_code = 2;
 
   if (opts.json_stdout) {
-    const std::string legacy = camp.to_json() + "\n";
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwfuzz", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwfuzz", opts.seed, camp.to_json()) << "\n";
     return rep;
   }
 

@@ -192,11 +192,7 @@ ProfReport run_prof(const ProfOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = prof_json(rep.outcomes);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwprof", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwprof", opts.seed, prof_json(rep.outcomes)) << "\n";
   } else {
     for (const auto& oc : rep.outcomes) print_outcome(opts, oc, out);
   }

@@ -184,6 +184,22 @@ class Parser {
   }
 
  private:
+  /// Nesting budget. Every open block, statement, unary operator and
+  /// primary holds one level, so adversarially deep input is a typed
+  /// error rather than a stack overflow (json::parse bounds its nesting
+  /// the same way).
+  static constexpr int kMaxDepth = 512;
+
+  /// Holds one nesting level for its lifetime.
+  struct Nest {
+    explicit Nest(int& d) : depth(++d) {}
+    ~Nest() { --depth; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    [[nodiscard]] bool too_deep() const { return depth > kMaxDepth; }
+    int& depth;
+  };
+
   Error err(std::string msg) {
     return make_error(std::move(msg), lex_.peek().line, lex_.peek().col);
   }
@@ -230,6 +246,8 @@ class Parser {
   }
 
   Result<std::vector<StmtPtr>> parse_block() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     RW_TRY_STATUS(expect(Tok::kLBrace, "'{'"));
     std::vector<StmtPtr> body;
     while (lex_.peek().kind != Tok::kRBrace) {
@@ -269,6 +287,8 @@ class Parser {
   }
 
   Result<StmtPtr> parse_stmt() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     switch (lex_.peek().kind) {
       case Tok::kInt: return parse_decl();
       case Tok::kLBrace: {
@@ -374,6 +394,8 @@ class Parser {
   }
 
   Result<ExprPtr> parse_unary() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     if (is_punct("-") || is_punct("!")) {
       const std::string op = lex_.take().text;
       return make_unary(op, RW_TRY(parse_unary()));
@@ -401,6 +423,8 @@ class Parser {
   }
 
   Result<ExprPtr> parse_primary() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     const Token t = lex_.peek();
     if (t.kind == Tok::kNumber) {
       lex_.take();
@@ -433,6 +457,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -395,12 +395,12 @@ TEST(Driver, JsonOutputIsDeterministic) {
   CritOptions opts;
   opts.workloads = {"pipeline3"};
   opts.write_files = false;
-  opts.legacy_json = true;
   opts.json_stdout = true;
   std::ostringstream a, b;
   run_critpath(opts, a);
   run_critpath(opts, b);
   EXPECT_EQ(a.str(), b.str());
+  EXPECT_NE(a.str().find("\"tool\": \"rwcritpath\""), std::string::npos);
   EXPECT_NE(a.str().find("\"schema\": \"rw-critpath-1\""), std::string::npos);
 }
 

@@ -537,7 +537,6 @@ TEST(ErtDriver, ParsesCommonAndToolFlags) {
                                     "--out-dir", "/tmp/x", "pipeline"});
   ASSERT_TRUE(opts.ok());
   EXPECT_TRUE(opts.value().json_stdout);
-  EXPECT_FALSE(opts.value().legacy_json);
   EXPECT_FALSE(opts.value().write_files);
   EXPECT_EQ(opts.value().seed, 9u);
   EXPECT_EQ(opts.value().tenants, 3u);
@@ -562,13 +561,12 @@ TEST(ErtDriver, JsonEnvelopeWrapsLegacyDocDeterministically) {
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("\"schema\": \"rw-tool-1\""), std::string::npos);
   EXPECT_NE(a.str().find("\"tool\": \"rwert\""), std::string::npos);
-  EXPECT_NE(a.str().find("\"schema\": \"rw-ert-run-1\""), std::string::npos);
-
-  opts.legacy_json = true;
-  std::ostringstream c;
-  EXPECT_EQ(run_ert(opts, c).exit_code, 0);
-  EXPECT_EQ(c.str().find("rw-tool-1"), std::string::npos);
-  EXPECT_EQ(c.str().rfind("{", 0), 0u);  // bare legacy document
+  // The tool's own document, with its own schema, is the payload.
+  const std::size_t payload = a.str().find("\"payload\": {");
+  const std::size_t schema = a.str().find("\"schema\": \"rw-ert-run-1\"");
+  ASSERT_NE(payload, std::string::npos);
+  ASSERT_NE(schema, std::string::npos);
+  EXPECT_GT(schema, payload);
 }
 
 TEST(ErtDriver, ListPrintsTemplateRegistry) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "dataflow/deadlock.hpp"
@@ -355,6 +356,46 @@ TEST(LintDriver, JsonOutputByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("\"schema\": \"rw-lint-run-1\""),
             std::string::npos);
+}
+
+TEST(LintDriver, SeededCorpusErrorsMatchTheAllowlist) {
+  // Every error-severity diagnostic of the default `rwlint --json` run must
+  // be one a corpus program deliberately plants, and no planted kind may
+  // go missing. A new error kind (or any error on clean_pipeline) fails.
+  const std::map<std::string, std::set<std::string>> seeded = {
+      {"racy_counter", {"race"}},
+      {"racy_frame", {"race"}},
+      {"token_cycle", {"deadlock"}},
+      {"order_inversion", {"deadlock"}},
+      {"uninit_filter",
+       {"uninitialized-read", "dead-store", "possibly-uninitialized"}},
+      {"clean_pipeline", {}},
+      {"starved_csdf", {"deadlock"}},
+      {"tight_deadline", {"deadline-unprovable"}},
+  };
+  DriverOptions opts;
+  opts.json_stdout = true;
+  opts.write_files = false;
+  std::ostringstream out;
+  const DriverReport report = run_driver(opts, out);
+  EXPECT_NE(out.str().find("\"schema\": \"rw-lint-run-1\""),
+            std::string::npos);
+
+  std::set<std::string> programs;
+  for (const ProgramOutcome& o : report.outcomes) {
+    programs.insert(o.program);
+    const auto it = seeded.find(o.program);
+    ASSERT_NE(it, seeded.end()) << "unseeded program " << o.program;
+    const auto errors = kinds_of(o.result.diagnostics, Severity::kError);
+    for (const std::string& kind : errors)
+      EXPECT_EQ(it->second.count(kind), 1u)
+          << o.program << ": new error diagnostic " << kind;
+    const auto found = kinds_of(o.result.diagnostics, Severity::kNote);
+    for (const std::string& kind : it->second)
+      EXPECT_EQ(found.count(kind), 1u)
+          << o.program << ": seeded kind lost " << kind;
+  }
+  EXPECT_EQ(programs.size(), seeded.size());
 }
 
 TEST(LintDriver, ListShowsTheWholeCorpus) {

@@ -6,8 +6,8 @@
 // parses the common surface through parse_common_flag() and wraps its
 // machine output in one envelope (schema "rw-tool-1") whose header names
 // the tool and the seed, so downstream tooling can dispatch on a single
-// document shape. The pre-envelope per-tool documents remain available
-// behind --legacy-json for one release.
+// document shape; each tool's own document, with its own schema, is the
+// envelope's payload.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@ namespace rw::cli {
 struct CommonOptions {
   bool list = false;         // --list: print the registry and exit
   bool json_stdout = false;  // --json: rw-tool-1 envelope on stdout
-  bool legacy_json = false;  // --legacy-json: pre-envelope tool schema
   bool write_files = true;   // cleared by --no-files
   std::uint64_t seed = 1;    // --seed S
   std::string out_dir = ".";  // --out-dir DIR (also --out=DIR)
@@ -62,9 +61,6 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
     opts.list = true;
   } else if (a == "--json") {
     opts.json_stdout = true;
-  } else if (a == "--legacy-json") {
-    opts.json_stdout = true;
-    opts.legacy_json = true;
   } else if (a == "--no-files") {
     opts.write_files = false;
   } else if (a == "--seed") {
@@ -88,24 +84,22 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
 
 /// The usage fragment for the shared flags, for per-tool --help text.
 inline const char* common_usage() {
-  return "[--list] [--json] [--legacy-json] [--no-files] [--seed S]"
-         " [--out-dir DIR] [--threads N]";
+  return "[--list] [--json] [--no-files] [--seed S] [--out-dir DIR]"
+         " [--threads N]";
 }
 
-/// Wrap a pre-rendered legacy tool document in the rw-tool-1 envelope:
-/// {schema, tool, seed, payload}. The payload keeps its own (legacy)
-/// schema field, so consumers of the old format can migrate by reading
-/// `.payload`. Deterministic: pure function of its inputs.
+/// Wrap a pre-rendered tool document in the rw-tool-1 envelope:
+/// {schema, tool, seed, payload}. The payload keeps its own schema field.
+/// Deterministic: pure function of its inputs.
 inline std::string envelope(std::string_view tool, std::uint64_t seed,
-                            std::string legacy_doc) {
+                            std::string doc) {
   // Drop the trailing newline tool docs carry, then re-indent the payload
   // one level so the envelope stays readable.
-  while (!legacy_doc.empty() &&
-         (legacy_doc.back() == '\n' || legacy_doc.back() == ' '))
-    legacy_doc.pop_back();
+  while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' '))
+    doc.pop_back();
   std::string indented;
-  indented.reserve(legacy_doc.size());
-  for (const char c : legacy_doc) {
+  indented.reserve(doc.size());
+  for (const char c : doc) {
     indented += c;
     if (c == '\n') indented += "  ";
   }
