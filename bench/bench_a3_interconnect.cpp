@@ -42,14 +42,16 @@ int main() {
     scenario.add_run("bus" + std::to_string(n),
                      [n](const harness::RunContext&) {
                        Kernel k;
-                       SharedBus bus(k, SharedBus::Config{mhz(200), 8, 4});
+                       Tracer t;
+                       SharedBus bus(k, t, SharedBus::Config{mhz(200), 8, 4});
                        return neighbour_traffic(bus, n);
                      });
     scenario.add_run(
         "mesh" + std::to_string(n), [n, side](const harness::RunContext&) {
           Kernel k;
-          MeshNoc mesh(k, MeshNoc::Config{side, side, nanoseconds(5),
-                                          mhz(500), 4});
+          Tracer t;
+          MeshNoc mesh(k, t, MeshNoc::Config{side, side, nanoseconds(5),
+                                             mhz(500), 4});
           return neighbour_traffic(mesh, n);
         });
   }

@@ -204,7 +204,7 @@ sim::Process sink_proc(RunCtx& ctx) {
 ///    the window of the restart's legitimately-retired re-issue, but
 ///    that abandoned block was issued *before* the retired one, so it is
 ///    exempt.
-class IntegritySink final : public sim::PerfSink {
+class IntegritySink final : public sim::Observer {
  public:
   void on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
                        TimePs finish, HertzT freq) override {
@@ -306,13 +306,12 @@ ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
 
   vpdebug::ExecutionRecorder recorder(plat);
   IntegritySink integrity;
-  plat.set_perf_sink(&integrity);
+  plat.attach(integrity);
   spawn(plat.kernel(), source_proc(ctx));
   for (std::size_t s = 0; s < cfg.cores; ++s)
     spawn(plat.kernel(), stage_proc(ctx, s));
   spawn(plat.kernel(), sink_proc(ctx));
   plat.run(kMaxEvents);
-  plat.set_perf_sink(nullptr);
 
   ScenarioOutcome out;
   out.items_target = cfg.items;

@@ -32,6 +32,7 @@ struct Collected {
 /// the rerun comparison in). Everything else is wasted simulation.
 OracleOptions shrink_options(const std::string& invariant) {
   OracleOptions o;
+  if (invariant == "run.exception") return o;  // any twin may be the throw
   o.rerun_twin =
       invariant == "determinism.rerun" || invariant.rfind("ert.", 0) == 0;
   o.policy_twin = invariant == "determinism.policy";

@@ -1,5 +1,6 @@
 #include "fuzz/oracle.hpp"
 
+#include <exception>
 #include <set>
 
 #include "common/rng.hpp"
@@ -414,7 +415,7 @@ const std::vector<std::string>& invariant_names() {
       "determinism.rerun",  "determinism.policy",  "determinism.exec",
       "liveness.budget",    "liveness.fault_free", "conservation.items",
       "conservation.channel", "integrity.compute", "bound.makespan",
-      "ert.accounting",
+      "ert.accounting",     "run.exception",
   };
   return names;
 }
@@ -440,22 +441,26 @@ maps::TaskGraph build_case_graph(const CampaignCase& c) {
 
 CaseOutcome run_case(const CampaignCase& c, const OracleOptions& opts) {
   CaseOutcome out;
-  switch (c.family) {
-    case Family::kPipeline:
-    case Family::kForkjoin:
-    case Family::kSharedHammer:
-    case Family::kTiledPipeline:
-      run_workload_family(c, opts, out);
-      break;
-    case Family::kFaultPipeline:
-      run_fault_family(c, opts, out);
-      break;
-    case Family::kMaps:
-      run_maps_family(c, opts, out);
-      break;
-    case Family::kErt:
-      run_ert_family(c, opts, out);
-      break;
+  try {
+    switch (c.family) {
+      case Family::kPipeline:
+      case Family::kForkjoin:
+      case Family::kSharedHammer:
+      case Family::kTiledPipeline:
+        run_workload_family(c, opts, out);
+        break;
+      case Family::kFaultPipeline:
+        run_fault_family(c, opts, out);
+        break;
+      case Family::kMaps:
+        run_maps_family(c, opts, out);
+        break;
+      case Family::kErt:
+        run_ert_family(c, opts, out);
+        break;
+    }
+  } catch (const std::exception& e) {
+    violate(out, "run.exception", e.what());
   }
   return out;
 }

@@ -23,7 +23,11 @@
 //   bound.makespan       — the platform replay of a mapping never
 //                          exceeds its lint::PerfContract static bound,
 //   ert.accounting       — per tenant, completed + rejected == submitted,
-//                          and reruns reproduce the tenant fingerprints.
+//                          and reruns reproduce the tenant fingerprints,
+//   run.exception        — no run of the case throws (a rejected platform
+//                          config, an illegal access, ...); run_case
+//                          itself never throws, so the campaign counts
+//                          and shrinks such a case like any other.
 //
 // Violations carry the stable invariant id plus a human detail line; the
 // shrinker's predicate is "still violates this same invariant id".

@@ -359,6 +359,8 @@ TimePs execute_on_platform_traced(const TaskGraph& g,
                 sim::CoreId{static_cast<std::uint32_t>(src_pe)},
                 sim::CoreId{static_cast<std::uint32_t>(pe)}, e.bytes, avail);
       }
+      ready = std::max(ready, xfinish);
+      if (!tracer.active()) continue;  // build no label nobody reads
       const std::uint64_t key =
           (static_cast<std::uint64_t>(e.src.value()) << 32) | e.dst.value();
       const std::string label =
@@ -369,7 +371,6 @@ TimePs execute_on_platform_traced(const TaskGraph& g,
       tracer.record(xfinish, sim::TraceKind::kMsgRecv,
                     sim::CoreId{static_cast<std::uint32_t>(pe)}, label, key,
                     e.bytes);
-      ready = std::max(ready, xfinish);
     }
     const Cycles cyc = g.task(t).cycles_on(core.pe_class());
     const auto [start, end] = core.reserve_from(ready, cyc);

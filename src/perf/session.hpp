@@ -1,9 +1,9 @@
 // PerfSession: one-object attach/measure/report lifecycle.
 //
 // RAII over the whole observation stack: constructing a session builds the
-// PMU, attaches it to every instrumented component, and (optionally) arms
+// PMU, attaches it to the platform's observer bus, and (optionally) arms
 // the sampling profiler and epoch collector; destroying it detaches the
-// sink so the platform reverts to the unobserved, bit-identical baseline.
+// PMU so the platform reverts to the unobserved, bit-identical baseline.
 // After kernel.run(), report() freezes everything into a PerfReport that
 // the exporters and RunMetrics integration consume.
 #pragma once
@@ -50,7 +50,6 @@ struct PerfReport {
 class PerfSession {
  public:
   PerfSession(sim::Platform& platform, PerfConfig cfg = {});
-  ~PerfSession();
   PerfSession(const PerfSession&) = delete;
   PerfSession& operator=(const PerfSession&) = delete;
 
@@ -59,7 +58,7 @@ class PerfSession {
   [[nodiscard]] SamplingProfiler* profiler() { return profiler_.get(); }
   [[nodiscard]] EpochCollector* epochs() { return epochs_.get(); }
 
-  /// Detach the sink early (before destruction); idempotent.
+  /// Detach the PMU early (before destruction); idempotent.
   void detach();
 
   /// Close trailing windows and freeze the report. Call after the
@@ -72,7 +71,6 @@ class PerfSession {
   Pmu pmu_;
   std::unique_ptr<SamplingProfiler> profiler_;
   std::unique_ptr<EpochCollector> epochs_;
-  bool attached_ = false;
 };
 
 }  // namespace rw::perf

@@ -18,7 +18,6 @@
 
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
-#include "sim/perf_hooks.hpp"
 #include "sim/trace.hpp"
 
 namespace rw::sim {
@@ -144,10 +143,6 @@ class Core {
   [[nodiscard]] Kernel& kernel() { return kernel_; }
   [[nodiscard]] Tracer& tracer() { return tracer_; }
 
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
-  [[nodiscard]] PerfSink* perf_sink() const { return perf_; }
-
  private:
   friend struct ComputeAwaitable;
   /// (Re)issue a compute block: reserve the core and schedule the start/end
@@ -181,7 +176,6 @@ class Core {
 
   Kernel& kernel_;
   Tracer& tracer_;
-  PerfSink* perf_ = nullptr;
   CoreId id_;
   PeClass cls_;
   HertzT freq_;

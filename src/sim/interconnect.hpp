@@ -15,7 +15,6 @@
 
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
-#include "sim/perf_hooks.hpp"
 #include "sim/trace.hpp"
 
 namespace rw::sim {
@@ -23,6 +22,9 @@ namespace rw::sim {
 /// Abstract transfer fabric between cores.
 class Interconnect {
  public:
+  /// Transfers are reported to `tracer`'s observers (tile 0's on a
+  /// platform: the fabric is tile-0 state).
+  explicit Interconnect(Tracer& tracer) : tracer_(tracer) {}
   virtual ~Interconnect() = default;
 
   /// Reserve fabric resources for a `bytes`-sized transfer from core
@@ -41,9 +43,6 @@ class Interconnect {
   /// Aggregate time transfers spent waiting for busy fabric resources.
   [[nodiscard]] DurationPs total_contention() const { return contention_; }
   [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
-
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
 
   /// Fault model (rw::fault). set_degrade() scales every subsequent
   /// transfer's occupancy by `factor` (>= 1.0; 1.0 restores nominal) —
@@ -72,12 +71,12 @@ class Interconnect {
     return d;
   }
 
+  Tracer& tracer_;
   DurationPs contention_ = 0;
   std::uint64_t transfers_ = 0;
   double degrade_ = 1.0;
   std::uint64_t pending_drops_ = 0;
   std::uint64_t dropped_ = 0;
-  PerfSink* perf_ = nullptr;
 };
 
 /// Single shared bus: every transfer serializes through one arbiter —
@@ -90,7 +89,8 @@ class SharedBus final : public Interconnect {
     Cycles arbitration_cycles = 4;     // per-transfer arbitration overhead
   };
 
-  SharedBus(Kernel& kernel, Config cfg) : kernel_(kernel), cfg_(cfg) {}
+  SharedBus(Kernel& kernel, Tracer& tracer, Config cfg)
+      : Interconnect(tracer), kernel_(kernel), cfg_(cfg) {}
 
   std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
                                              std::uint64_t bytes,
@@ -119,7 +119,7 @@ class MeshNoc final : public Interconnect {
     std::uint32_t link_width_bytes = 4;
   };
 
-  MeshNoc(Kernel& kernel, Config cfg);
+  MeshNoc(Kernel& kernel, Tracer& tracer, Config cfg);
 
   std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
                                              std::uint64_t bytes,

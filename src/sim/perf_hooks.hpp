@@ -1,38 +1,52 @@
-// Performance-monitoring hooks for the virtual platform.
+// The simulator's observation bus.
 //
 // Sec. VII's core argument for virtual platforms is *non-intrusive
 // observability*: "hardware and software tracing capabilities" that real
-// silicon cannot offer without perturbing the system under test. PerfSink
-// is the observation boundary that makes this true by construction — sim
-// components call into an attached sink at the points a hardware PMU would
-// count (core reservations, memory accesses, fabric transfers, DMA), and
-// every call site is guarded by a nullable pointer:
-//
-//   if (perf_) perf_->on_core_reserve(...);
-//
-// With no sink attached the hook is a single predictable branch and the
-// simulation state is bit-identical to a build that never heard of
-// performance counters (tests/test_perf_pmu.cpp holds replay fingerprints
-// and RunMetrics to that). The sim layer depends only on this interface;
-// the actual counters live in rw::perf, which depends on sim — never the
-// other way around.
+// silicon cannot offer without perturbing the system under test. Each
+// tile's Tracer owns one ObserverSet; every core, memory region,
+// peripheral, DMA engine, TileLink and (tile 0's) interconnect reports
+// trace events and PMU-style hook calls to the set of its tile, and
+// Platform::attach/detach add an observer to every tile's set. Observers
+// compose: PMUs, the fault oracle's integrity check, recorders, the race
+// detector and the debugger can all watch one platform. With nothing
+// attached and trace retention off, a hook site is one empty-set branch
+// and builds no event; observers see decisions already taken, so the run
+// stays bit-identical (tests/test_perf_pmu.cpp). The sim layer owns only
+// this interface; rw::perf, rw::fault and rw::vpdebug implement it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "common/ids.hpp"
 #include "common/units.hpp"
-#include "sim/trace.hpp"
 
 namespace rw::sim {
 
-/// Observation interface implemented by rw::perf::Pmu. All methods have
-/// empty default bodies so sinks override only what they count. Sinks must
-/// not mutate simulation state from a hook (they see const facts about
-/// decisions already taken) — that is what keeps attachment zero-overhead.
-class PerfSink {
+struct CoreTag {};
+using CoreId = Id<CoreTag>;
+
+struct TraceEvent;
+struct MemAccess;
+class Signal;
+class ObserverSet;
+
+/// One observer on the bus. Hooks have empty default bodies, so an
+/// observer overrides only what it watches, and must not mutate
+/// simulation state (the debugger only requests a kernel stop). Whichever
+/// of an observer and its sets dies first unlinks itself from the other.
+class Observer {
  public:
-  virtual ~PerfSink() = default;
+  Observer() = default;
+  Observer(const Observer&) = delete;
+  Observer& operator=(const Observer&) = delete;
+  virtual ~Observer();
+
+  // --- trace ---
+  /// Every trace event, whether or not the tracer retains it.
+  virtual void on_trace(const TraceEvent& ev) { (void)ev; }
 
   // --- core ---
   /// Core `core` reserved `cycles` of work over [start, finish] at clock
@@ -54,13 +68,8 @@ class PerfSink {
   }
 
   // --- memory ---
-  /// One memory access. `local` is true for the accessing core's own
-  /// scratchpad; `latency` is the region's access latency in core cycles
-  /// (the stall the access costs a blocking core).
-  virtual void on_mem_access(CoreId core, bool is_write, bool local,
-                             std::uint32_t bytes, Cycles latency) {
-    (void)core, (void)is_write, (void)local, (void)bytes, (void)latency;
-  }
+  /// One memory access (poke/peek loader back-doors are not reported).
+  virtual void on_mem_access(const MemAccess& acc) { (void)acc; }
 
   // --- interconnect ---
   /// One fabric transfer. `wait` is time spent queued behind prior traffic
@@ -84,6 +93,51 @@ class PerfSink {
   virtual void on_dma(std::uint64_t bytes, TimePs start, TimePs finish) {
     (void)bytes, (void)start, (void)finish;
   }
+
+  // --- signals ---
+  /// A signal changed level (`sig.level()` is the new one).
+  virtual void on_signal(const Signal& sig, bool old_level) {
+    (void)sig, (void)old_level;
+  }
+
+ private:
+  friend class ObserverSet;
+  std::vector<ObserverSet*> sets_;  // every set this observer is in
 };
+
+/// The observers attached to one tile, in attach order. Attaching twice
+/// is a no-op. Observers are called synchronously on the tile's own
+/// thread; attach/detach only between runs.
+class ObserverSet {
+ public:
+  ObserverSet() = default;
+  ObserverSet(const ObserverSet&) = delete;
+  ObserverSet& operator=(const ObserverSet&) = delete;
+  ~ObserverSet() {
+    for (Observer* o : list_) std::erase(o->sets_, this);
+  }
+
+  void attach(Observer& o) {
+    if (std::find(list_.begin(), list_.end(), &o) != list_.end()) return;
+    list_.push_back(&o);
+    o.sets_.push_back(this);
+  }
+  void detach(Observer& o) {
+    std::erase(list_, &o);
+    std::erase(o.sets_, this);
+  }
+
+  [[nodiscard]] bool empty() const { return list_.empty(); }
+  [[nodiscard]] auto begin() const { return list_.begin(); }
+  [[nodiscard]] auto end() const { return list_.end(); }
+
+ private:
+  friend class Observer;
+  std::vector<Observer*> list_;
+};
+
+inline Observer::~Observer() {
+  for (ObserverSet* s : sets_) std::erase(s->list_, this);
+}
 
 }  // namespace rw::sim

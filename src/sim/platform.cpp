@@ -76,10 +76,10 @@ Platform::Platform(PlatformConfig cfg)
 
   switch (cfg_.interconnect) {
     case PlatformConfig::Icn::kSharedBus:
-      icn_ = std::make_unique<SharedBus>(kernel_, cfg_.bus);
+      icn_ = std::make_unique<SharedBus>(kernel_, tracer_, cfg_.bus);
       break;
     case PlatformConfig::Icn::kMesh:
-      icn_ = std::make_unique<MeshNoc>(kernel_, cfg_.mesh);
+      icn_ = std::make_unique<MeshNoc>(kernel_, tracer_, cfg_.mesh);
       break;
   }
 
@@ -125,11 +125,14 @@ std::vector<Peripheral*> Platform::peripherals() {
   return {irqc_.get(), timer_.get(), dma_.get(), hwsem_.get()};
 }
 
-void Platform::set_perf_sink(PerfSink* sink) {
-  for (auto& c : cores_) c->set_perf_sink(sink);
-  memory_.set_perf_sink(sink);
-  icn_->set_perf_sink(sink);
-  dma_->set_perf_sink(sink);
+void Platform::attach(Observer& o) {
+  for (std::uint32_t t = 0; t < tile_count(); ++t)
+    tile_tracer(t).observers().attach(o);
+}
+
+void Platform::detach(Observer& o) {
+  for (std::uint32_t t = 0; t < tile_count(); ++t)
+    tile_tracer(t).observers().detach(o);
 }
 
 }  // namespace rw::sim

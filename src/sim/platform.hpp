@@ -128,11 +128,11 @@ class Platform {
   /// All peripherals, for the debugger's register view.
   [[nodiscard]] std::vector<Peripheral*> peripherals();
 
-  /// Attach/detach a PMU observation sink on every instrumented component
-  /// (cores, memory, interconnect, DMA). Passing nullptr detaches; with no
-  /// sink attached every hook site reduces to one null check and the
-  /// simulation is bit-identical to an unobserved run.
-  void set_perf_sink(PerfSink* sink);
+  /// Attach/detach an observer on every tile's bus (perf_hooks.hpp).
+  /// Observers compose; attaching one leaves the simulation bit-identical
+  /// to an unobserved run. An observer also detaches on destruction.
+  void attach(Observer& o);
+  void detach(Observer& o);
 
   [[nodiscard]] const PlatformConfig& config() const { return cfg_; }
 

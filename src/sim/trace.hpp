@@ -8,17 +8,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/ids.hpp"
 #include "common/units.hpp"
+#include "sim/perf_hooks.hpp"
 
 namespace rw::sim {
-
-struct CoreTag {};
-using CoreId = Id<CoreTag>;
 
 enum class TraceKind : std::uint8_t {
   kTaskStart,
@@ -52,32 +49,28 @@ struct TraceEvent {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Append-only trace buffer with an optional live listener (the debugger
-/// hooks in here for watchpoints and scripted assertions).
+/// One tile's observation point: an append-only trace buffer (retained
+/// only when enabled) plus the tile's ObserverSet. Every component on the
+/// tile reports here, so observers see trace events and hook calls alike.
 class Tracer {
  public:
-  using Listener = std::function<void(const TraceEvent&)>;
-
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Live listener invoked synchronously on every event, even when buffer
-  /// retention is disabled. Returns a token for removal.
-  std::size_t add_listener(Listener fn) {
-    listeners_.push_back(std::move(fn));
-    return listeners_.size() - 1;
+  [[nodiscard]] ObserverSet& observers() { return observers_; }
+  /// Whether a record() would be kept or seen by anyone; with neither,
+  /// record() returns before building the event.
+  [[nodiscard]] bool active() const {
+    return enabled_ || !observers_.empty();
   }
-  void clear_listeners() { listeners_.clear(); }
 
-  void record(TraceEvent ev) {
-    for (auto& l : listeners_)
-      if (l) l(ev);
+  void record(TimePs time, TraceKind kind, CoreId core,
+              std::string_view label, std::uint64_t a = 0,
+              std::uint64_t b = 0) {
+    if (!active()) return;
+    TraceEvent ev{time, kind, core, std::string(label), a, b};
+    for (Observer* o : observers_) o->on_trace(ev);
     if (enabled_) events_.push_back(std::move(ev));
-  }
-
-  void record(TimePs time, TraceKind kind, CoreId core, std::string label,
-              std::uint64_t a = 0, std::uint64_t b = 0) {
-    record(TraceEvent{time, kind, core, std::move(label), a, b});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
@@ -96,7 +89,7 @@ class Tracer {
  private:
   bool enabled_ = false;
   std::vector<TraceEvent> events_;
-  std::vector<Listener> listeners_;
+  ObserverSet observers_;
 };
 
 }  // namespace rw::sim

@@ -41,12 +41,9 @@ struct StopInfo {
   std::string detail;
 };
 
-class Debugger {
+class Debugger final : public sim::Observer {
  public:
   explicit Debugger(sim::Platform& platform);
-  ~Debugger();
-  Debugger(const Debugger&) = delete;
-  Debugger& operator=(const Debugger&) = delete;
 
   // ------------------------------------------------------- run control
   /// Run until a stop condition fires or the queue drains.
@@ -88,8 +85,12 @@ class Debugger {
 
   [[nodiscard]] sim::Platform& platform() { return platform_; }
 
+  // sim::Observer: breakpoints and watchpoints.
+  void on_trace(const sim::TraceEvent& ev) override;
+  void on_mem_access(const sim::MemAccess& acc) override;
+  void on_signal(const sim::Signal& sig, bool old_level) override;
+
  private:
-  void arm_hooks();
   void request_stop(StopKind kind, std::string detail);
   sim::Signal* find_signal(const std::string& name) const;
 

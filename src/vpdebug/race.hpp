@@ -36,7 +36,7 @@ struct RaceReport {
 /// A full detector result as a JSON document: {races: [...]}.
 std::string races_to_json(const std::vector<RaceReport>& races);
 
-class RaceDetector {
+class RaceDetector final : public sim::Observer {
  public:
   /// Watch [base, base+len). `window` is the temporal vicinity within
   /// which unsynchronized conflicting accesses are reported.
@@ -48,8 +48,9 @@ class RaceDetector {
   }
   [[nodiscard]] std::uint64_t accesses_observed() const { return seen_; }
 
+  void on_mem_access(const sim::MemAccess& acc) override;
+
  private:
-  void on_access(const sim::MemAccess& acc);
   [[nodiscard]] bool core_holds_lock(sim::CoreId core) const;
 
   sim::Platform& platform_;

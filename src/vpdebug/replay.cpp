@@ -24,13 +24,12 @@ std::uint64_t fold_str(std::uint64_t h, const std::string& s) {
 
 }  // namespace
 
-ExecutionRecorder::ExecutionRecorder(sim::Platform& platform) {
-  slots_.resize(platform.tile_count());
-  for (std::size_t t = 0; t < slots_.size(); ++t) {
+ExecutionRecorder::ExecutionRecorder(sim::Platform& platform)
+    : slots_(platform.tile_count()) {
+  for (std::size_t t = 0; t < slots_.size(); ++t)
     platform.tile_tracer(static_cast<std::uint32_t>(t))
-        .add_listener(
-            [this, t](const sim::TraceEvent& ev) { fold(t, ev); });
-  }
+        .observers()
+        .attach(slots_[t]);
 }
 
 std::uint64_t ExecutionRecorder::fingerprint() const {
@@ -53,15 +52,14 @@ std::uint64_t ExecutionRecorder::events() const {
   return n;
 }
 
-void ExecutionRecorder::fold(std::size_t tile, const sim::TraceEvent& ev) {
-  Slot& s = slots_[tile];
-  ++s.count;
-  s.hash = fold_u64(s.hash, ev.time);
-  s.hash = fold_u64(s.hash, static_cast<std::uint64_t>(ev.kind));
-  s.hash = fold_u64(s.hash, ev.core.is_valid() ? ev.core.value() : ~0ULL);
-  s.hash = fold_str(s.hash, ev.label);
-  s.hash = fold_u64(s.hash, ev.a);
-  s.hash = fold_u64(s.hash, ev.b);
+void ExecutionRecorder::Slot::on_trace(const sim::TraceEvent& ev) {
+  ++count;
+  hash = fold_u64(hash, ev.time);
+  hash = fold_u64(hash, static_cast<std::uint64_t>(ev.kind));
+  hash = fold_u64(hash, ev.core.is_valid() ? ev.core.value() : ~0ULL);
+  hash = fold_str(hash, ev.label);
+  hash = fold_u64(hash, ev.a);
+  hash = fold_u64(hash, ev.b);
 }
 
 }  // namespace rw::vpdebug

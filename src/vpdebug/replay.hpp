@@ -25,7 +25,8 @@
 namespace rw::vpdebug {
 
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
-/// payloads) plus the event count, canonicalized per tile.
+/// payloads) plus the event count, canonicalized per tile. Each tile's
+/// fold is its own Observer on that tile's bus, so tiles never share one.
 class ExecutionRecorder {
  public:
   explicit ExecutionRecorder(sim::Platform& platform);
@@ -42,12 +43,12 @@ class ExecutionRecorder {
   }
 
  private:
-  struct Slot {
+  struct Slot final : sim::Observer {
     std::uint64_t hash = 1469598103934665603ULL;
     std::uint64_t count = 0;
+    void on_trace(const sim::TraceEvent& ev) override;
   };
 
-  void fold(std::size_t tile, const sim::TraceEvent& ev);
   std::vector<Slot> slots_;  // one per tile; each written by one tile only
 };
 

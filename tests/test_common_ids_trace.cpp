@@ -71,15 +71,20 @@ TEST(TraceEvent, AllKindsHaveNames) {
 TEST(Tracer, ListenersFireEvenWhenRetentionOff) {
   sim::Tracer tracer;
   tracer.set_enabled(false);
-  int fired = 0;
-  tracer.add_listener([&](const sim::TraceEvent&) { ++fired; });
+  struct Counter final : sim::Observer {
+    int fired = 0;
+    void on_trace(const sim::TraceEvent&) override { ++fired; }
+  } counter;
+  EXPECT_FALSE(tracer.active());
+  tracer.observers().attach(counter);
+  EXPECT_TRUE(tracer.active());
   tracer.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "x");
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(counter.fired, 1);
   EXPECT_TRUE(tracer.events().empty());  // nothing retained
   tracer.set_enabled(true);
   tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
   EXPECT_EQ(tracer.events().size(), 1u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(counter.fired, 2);
 }
 
 TEST(Tracer, FilterByKind) {

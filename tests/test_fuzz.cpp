@@ -4,6 +4,7 @@
 // test_fuzz_defect.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -197,6 +198,24 @@ TEST(FuzzOracle, InvariantNamesAreStableAndNonEmpty) {
   const auto& names = fuzz::invariant_names();
   EXPECT_GE(names.size(), 9u);
   for (const std::string& n : names) EXPECT_NE(n.find('.'), std::string::npos);
+}
+
+// A run that throws is a finding, not a lost case: run_case reports it
+// as run.exception (so the campaign counts, records and shrinks it like
+// any other violation) instead of letting the exception escape.
+TEST(FuzzOracle, ThrowingRunBecomesARunExceptionViolation) {
+  // Hand-built: a platform with no cores fails config validation (from_json
+  // and the generator never produce one, so no seed can reach this).
+  fuzz::CampaignCase c;
+  c.seed = 3;
+  c.family = fuzz::Family::kPipeline;
+  c.cores = 0;
+  fuzz::CaseOutcome out;
+  ASSERT_NO_THROW(out = fuzz::run_case(c));
+  EXPECT_TRUE(out.violates("run.exception"));
+  const auto& names = fuzz::invariant_names();
+  EXPECT_NE(std::find(names.begin(), names.end(), "run.exception"),
+            names.end());
 }
 
 }  // namespace

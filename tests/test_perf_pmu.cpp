@@ -5,6 +5,7 @@
 #include "perf/pmu.hpp"
 #include "perf/session.hpp"
 #include "perf/workload.hpp"
+#include "sim/parallel.hpp"
 #include "sim/platform.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/replay.hpp"
@@ -29,7 +30,7 @@ std::unique_ptr<sim::Platform> make_platform(std::size_t cores = 2) {
 TEST(PmuTest, CountsComputeBlocksAndBusyCycles) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   sim::spawn(plat->kernel(), computer(*plat, 0, 10'000, "fir", 3));
   sim::spawn(plat->kernel(), computer(*plat, 1, 4'000, "iir", 2));
   plat->kernel().run();
@@ -47,7 +48,7 @@ TEST(PmuTest, CountsComputeBlocksAndBusyCycles) {
 TEST(PmuTest, SplitsLocalAndSharedAccesses) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   auto& mem = plat->memory();
   const sim::CoreId c0{0};
 
@@ -73,7 +74,7 @@ TEST(PmuTest, SplitsLocalAndSharedAccesses) {
 TEST(PmuTest, PokePeekAreNotCounted) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   std::uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   plat->memory().poke(plat->shared_base(), buf);
   plat->memory().peek(plat->shared_base(), buf);
@@ -85,7 +86,7 @@ TEST(PmuTest, PokePeekAreNotCounted) {
 TEST(PmuTest, DmaCountsBytesAndUnattributedAccesses) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->dma().start(plat->shared_base(), plat->shared_base() + 4096, 256);
   plat->kernel().run();
 
@@ -103,7 +104,7 @@ TEST(PmuTest, DmaCountsBytesAndUnattributedAccesses) {
 TEST(PmuTest, SharedBusTransfersFillIcnCounters) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   auto& icn = plat->interconnect();
   const auto [s1, f1] =
       icn.reserve_transfer(sim::CoreId{0}, sim::CoreId{1}, 1024, 0);
@@ -127,7 +128,7 @@ TEST(PmuTest, MeshTransfersCountHopsAndLinks) {
   cfg.mesh.height = 2;
   sim::Platform plat(std::move(cfg));
   Pmu pmu(plat.core_count());
-  plat.set_perf_sink(&pmu);
+  plat.attach(pmu);
 
   // Corner to corner on a 2x2 mesh: 2 hops (XY route).
   plat.interconnect().reserve_transfer(sim::CoreId{0}, sim::CoreId{3}, 64,
@@ -149,7 +150,7 @@ TEST(PmuTest, MeshTransfersCountHopsAndLinks) {
 TEST(PmuTest, FreqChangesCounted) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).set_frequency(mhz(800));
   plat->core(0).set_frequency(mhz(800));  // no-op: same frequency
   plat->core(0).set_frequency(mhz(400));
@@ -160,9 +161,9 @@ TEST(PmuTest, FreqChangesCounted) {
 TEST(PmuTest, DetachStopsCounting) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).reserve(1000);
-  plat->set_perf_sink(nullptr);
+  plat->detach(pmu);
   plat->core(0).reserve(1000);
   EXPECT_EQ(pmu.core(0).busy_cycles, 1000u);
   EXPECT_EQ(pmu.core(0).reservations, 1u);
@@ -171,7 +172,7 @@ TEST(PmuTest, DetachStopsCounting) {
 TEST(PmuTest, SnapshotAndResetRoundTrip) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).reserve(1000);
   const PmuSnapshot s = pmu.snapshot(plat->kernel().now());
   EXPECT_EQ(s.cores[0].busy_cycles, 1000u);
@@ -223,6 +224,111 @@ TEST(PmuTest, DetachedSessionMetricsSimEqualBaseline) {
     return m;
   };
   EXPECT_TRUE(run_once(true).sim_equal(run_once(false)));
+}
+
+// Observers compose on the bus: two PMUs, an ExecutionRecorder and trace
+// retention attached together leave the run bit-identical to the bare
+// run, and each one reports exactly what it reports when attached alone.
+struct ComposeRun {
+  TimePs makespan = 0;
+  std::uint64_t events = 0;
+  std::uint64_t fingerprint = 0;
+  PmuSnapshot pmu_a, pmu_b;
+  std::vector<std::string> trace;  // every tile's retained events
+};
+
+ComposeRun run_composed(const sim::PlatformConfig& base,
+                        const std::string& workload, bool trace, bool recorder,
+                        int pmus) {
+  sim::PlatformConfig cfg = base;
+  cfg.trace_enabled = trace;
+  sim::Platform plat(std::move(cfg));
+  Pmu pmu_a(plat.core_count()), pmu_b(plat.core_count());
+  if (pmus > 0) plat.attach(pmu_a);
+  if (pmus > 1) plat.attach(pmu_b);
+  std::unique_ptr<vpdebug::ExecutionRecorder> rec;
+  if (recorder) rec = std::make_unique<vpdebug::ExecutionRecorder>(plat);
+  EXPECT_TRUE(spawn_workload(workload, plat, /*seed=*/9, /*scale=*/2));
+  // Real tile threads on any host, so TSan sees the fan-out into sinks
+  // shared across tiles.
+  if (plat.engine()) plat.engine()->set_force_threads(true);
+  plat.run();
+  if (plat.engine()) EXPECT_TRUE(plat.engine()->last_run_parallel());
+
+  ComposeRun r;
+  r.makespan = plat.now();
+  r.events = plat.engine() ? plat.engine()->events_executed()
+                           : plat.kernel().events_executed();
+  if (rec) r.fingerprint = rec->fingerprint();
+  r.pmu_a = pmu_a.snapshot(r.makespan);
+  r.pmu_b = pmu_b.snapshot(r.makespan);
+  for (std::uint32_t t = 0; t < plat.tile_count(); ++t)
+    for (const sim::TraceEvent& ev : plat.tile_tracer(t).events())
+      r.trace.push_back(ev.to_string());
+  return r;
+}
+
+TEST(ObserverBus, ComposedObserversMatchBareAndSoloRuns) {
+  struct Config {
+    std::string name;
+    sim::PlatformConfig cfg;
+    std::vector<std::string> workloads;
+  };
+  std::vector<Config> configs;
+  for (const bool mesh : {false, true}) {
+    auto cfg = sim::PlatformConfig::homogeneous(4, mhz(400));
+    if (mesh) {
+      cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
+      cfg.mesh.width = 2;
+      cfg.mesh.height = 2;
+    }
+    configs.push_back({mesh ? "mesh" : "bus", cfg,
+                       {"pipeline", "forkjoin", "shared_hammer",
+                        "tiled_pipeline"}});
+  }
+  auto tiled = sim::PlatformConfig::homogeneous(4, mhz(400));
+  sim::apply_tiling(tiled, 2, /*partition_cores=*/true);
+  ASSERT_EQ(tiled.kernel.exec, sim::ExecMode::kParallel);
+  configs.push_back({"parallel2", tiled, {"tiled_pipeline"}});
+
+  for (const Config& c : configs) {
+    for (const std::string& w : c.workloads) {
+      SCOPED_TRACE(c.name + "/" + w);
+      const ComposeRun bare = run_composed(c.cfg, w, false, false, 0);
+      const ComposeRun rec = run_composed(c.cfg, w, false, true, 0);
+      const ComposeRun pmu = run_composed(c.cfg, w, false, false, 1);
+      const ComposeRun trace = run_composed(c.cfg, w, true, false, 0);
+      const ComposeRun all = run_composed(c.cfg, w, true, true, 2);
+
+      for (const ComposeRun* solo : {&rec, &pmu, &trace, &all}) {
+        EXPECT_EQ(solo->makespan, bare.makespan);
+        EXPECT_EQ(solo->events, bare.events);
+      }
+      EXPECT_GT(rec.events, 0u);
+      EXPECT_EQ(all.fingerprint, rec.fingerprint);
+      EXPECT_GT(pmu.pmu_a.cores[0].busy_cycles, 0u);
+      EXPECT_EQ(all.pmu_a, pmu.pmu_a);
+      EXPECT_EQ(all.pmu_b, all.pmu_a);
+      EXPECT_FALSE(trace.trace.empty());
+      EXPECT_EQ(all.trace, trace.trace);
+    }
+  }
+}
+
+// An observer that outlives its platform, or dies before it, is safe
+// either way: each side unlinks the other on destruction.
+TEST(ObserverBus, DetachesOnDestructionInEitherOrder) {
+  auto plat = make_platform();
+  auto early = std::make_unique<Pmu>(plat->core_count());
+  Pmu late(plat->core_count());
+  plat->attach(*early);
+  plat->attach(late);
+  plat->attach(late);  // attaching twice is a no-op
+  early.reset();
+  sim::spawn(plat->kernel(), computer(*plat, 0, 1'000, "w", 2));
+  plat->run();
+  EXPECT_EQ(late.core(0).compute_blocks, 2u);  // counted once, not twice
+  plat.reset();  // `late` is still alive and must not point at the bus
 }
 
 }  // namespace

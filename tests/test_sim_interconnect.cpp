@@ -7,7 +7,8 @@ namespace {
 
 TEST(SharedBus, TransferTimeScalesWithSize) {
   Kernel k;
-  SharedBus bus(k, SharedBus::Config{mhz(100), 4, 0});
+  Tracer t;
+  SharedBus bus(k, t, SharedBus::Config{mhz(100), 4, 0});
   // 100 MHz, 4 bytes/beat -> 16 bytes = 4 beats = 40 ns.
   auto [s, f] = bus.reserve_transfer(CoreId{0}, CoreId{1}, 16, 0);
   EXPECT_EQ(s, 0u);
@@ -16,14 +17,16 @@ TEST(SharedBus, TransferTimeScalesWithSize) {
 
 TEST(SharedBus, ArbitrationOverheadAdds) {
   Kernel k;
-  SharedBus bus(k, SharedBus::Config{mhz(100), 4, 2});
+  Tracer t;
+  SharedBus bus(k, t, SharedBus::Config{mhz(100), 4, 2});
   auto [s, f] = bus.reserve_transfer(CoreId{0}, CoreId{1}, 4, 0);
   EXPECT_EQ(f - s, nanoseconds(30));  // 1 beat + 2 arbitration cycles
 }
 
 TEST(SharedBus, SerializesConcurrentTransfers) {
   Kernel k;
-  SharedBus bus(k, SharedBus::Config{mhz(100), 4, 0});
+  Tracer t;
+  SharedBus bus(k, t, SharedBus::Config{mhz(100), 4, 0});
   auto [s1, f1] = bus.reserve_transfer(CoreId{0}, CoreId{1}, 4, 0);
   auto [s2, f2] = bus.reserve_transfer(CoreId{2}, CoreId{3}, 4, 0);
   EXPECT_EQ(s2, f1);  // second transfer waits: the centralized bottleneck
@@ -33,14 +36,16 @@ TEST(SharedBus, SerializesConcurrentTransfers) {
 
 TEST(SharedBus, PartialBeatRoundsUp) {
   Kernel k;
-  SharedBus bus(k, SharedBus::Config{mhz(100), 8, 0});
+  Tracer t;
+  SharedBus bus(k, t, SharedBus::Config{mhz(100), 8, 0});
   auto [s, f] = bus.reserve_transfer(CoreId{0}, CoreId{1}, 9, 0);
   EXPECT_EQ(f - s, nanoseconds(20));  // 2 beats
 }
 
 TEST(MeshNoc, HopCountIsManhattanDistance) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
   // Core ids map row-major onto the mesh: core 0 at (0,0), core 5 at (1,1).
   EXPECT_EQ(noc.hop_count(CoreId{0}, CoreId{0}), 0u);
   EXPECT_EQ(noc.hop_count(CoreId{0}, CoreId{1}), 1u);
@@ -50,14 +55,16 @@ TEST(MeshNoc, HopCountIsManhattanDistance) {
 
 TEST(MeshNoc, LocalTransferIsFree) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
   auto [s, f] = noc.reserve_transfer(CoreId{3}, CoreId{3}, 1024, 0);
   EXPECT_EQ(s, f);
 }
 
 TEST(MeshNoc, LatencyGrowsWithDistance) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{8, 8, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{8, 8, nanoseconds(5), mhz(500), 4});
   const auto near = noc.nominal_latency(CoreId{0}, CoreId{1}, 64);
   const auto far = noc.nominal_latency(CoreId{0}, CoreId{63}, 64);
   EXPECT_GT(far, near);
@@ -66,7 +73,8 @@ TEST(MeshNoc, LatencyGrowsWithDistance) {
 
 TEST(MeshNoc, DisjointRoutesDoNotContend) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
   // (0,0)->(1,0) and (2,2)->(3,2): no shared links.
   auto [s1, f1] = noc.reserve_transfer(CoreId{0}, CoreId{1}, 64, 0);
   auto [s2, f2] = noc.reserve_transfer(CoreId{10}, CoreId{11}, 64, 0);
@@ -76,7 +84,8 @@ TEST(MeshNoc, DisjointRoutesDoNotContend) {
 
 TEST(MeshNoc, SharedLinkSerializes) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
   // Both transfers use link (0,0)->(1,0) first.
   auto [s1, f1] = noc.reserve_transfer(CoreId{0}, CoreId{1}, 64, 0);
   auto [s2, f2] = noc.reserve_transfer(CoreId{0}, CoreId{2}, 64, 0);
@@ -86,20 +95,23 @@ TEST(MeshNoc, SharedLinkSerializes) {
 
 TEST(MeshNoc, EarliestRespected) {
   Kernel k;
-  MeshNoc noc(k, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
+  Tracer t;
+  MeshNoc noc(k, t, MeshNoc::Config{4, 4, nanoseconds(5), mhz(500), 4});
   auto [s, f] = noc.reserve_transfer(CoreId{0}, CoreId{1}, 4, 12345);
   EXPECT_GE(s, 12345u);
 }
 
 TEST(MeshNoc, RejectsZeroDimensions) {
   Kernel k;
-  EXPECT_THROW(MeshNoc(k, MeshNoc::Config{0, 4}), std::invalid_argument);
+  Tracer t;
+  EXPECT_THROW(MeshNoc(k, t, MeshNoc::Config{0, 4}), std::invalid_argument);
 }
 
 TEST(Interconnect, Describe) {
   Kernel k;
-  SharedBus bus(k, {});
-  MeshNoc noc(k, {});
+  Tracer t;
+  SharedBus bus(k, t, {});
+  MeshNoc noc(k, t, {});
   EXPECT_NE(bus.describe().find("shared-bus"), std::string::npos);
   EXPECT_NE(noc.describe().find("mesh-noc"), std::string::npos);
 }

@@ -5,6 +5,11 @@
 namespace rw::sim {
 namespace {
 
+struct AccessLog final : Observer {
+  std::vector<MemAccess> seen;
+  void on_mem_access(const MemAccess& a) override { seen.push_back(a); }
+};
+
 class MemoryTest : public ::testing::Test {
  protected:
   Kernel kernel;
@@ -59,8 +64,9 @@ TEST_F(MemoryTest, LocalityOffAllowsForeignAccess) {
 
 TEST_F(MemoryTest, ObserversSeeAllAccesses) {
   mem.add_region("r", 0, 256, 1);
-  std::vector<MemAccess> seen;
-  mem.add_observer([&](const MemAccess& a) { seen.push_back(a); });
+  AccessLog log;
+  tracer.observers().attach(log);
+  const std::vector<MemAccess>& seen = log.seen;
   mem.write_u32(CoreId{2}, 16, 99);
   mem.read_u32(CoreId{3}, 16);
   ASSERT_EQ(seen.size(), 2u);
@@ -82,14 +88,14 @@ TEST_F(MemoryTest, BlockTransfer) {
 
 TEST_F(MemoryTest, PokePeekBypassObservers) {
   mem.add_region("r", 0, 64, 1);
-  int notified = 0;
-  mem.add_observer([&](const MemAccess&) { ++notified; });
+  AccessLog log;
+  tracer.observers().attach(log);
   std::vector<std::uint8_t> v{42};
   mem.poke(3, v);
   std::vector<std::uint8_t> out(1);
   mem.peek(3, out);
   EXPECT_EQ(out[0], 42);
-  EXPECT_EQ(notified, 0);
+  EXPECT_TRUE(log.seen.empty());
 }
 
 TEST_F(MemoryTest, LatencyLookup) {

@@ -42,11 +42,15 @@ TEST_F(PeriphTest, MaskedIrqStaysPendingAndFiresOnUnmask) {
 }
 
 TEST_F(PeriphTest, LineSignalObservable) {
-  bool saw_rise = false;
-  irqc.line_signal(2).add_observer(
-      [&](const Signal& s, bool old) { saw_rise = !old && s.level(); });
+  struct EdgeLog final : Observer {
+    bool saw_rise = false;
+    void on_signal(const Signal& s, bool old) override {
+      saw_rise = !old && s.level();
+    }
+  } log;
+  tracer.observers().attach(log);
   irqc.raise(2);
-  EXPECT_TRUE(saw_rise);
+  EXPECT_TRUE(log.saw_rise);
 }
 
 TEST_F(PeriphTest, IrqRegisterFile) {
@@ -120,7 +124,7 @@ TEST_F(PeriphTest, DmaCopiesAndInterrupts) {
   MemorySystem mem(kernel, tracer);
   mem.add_region("src", 0x0, 256, 1);
   mem.add_region("dst", 0x1000, 256, 1);
-  SharedBus bus(kernel, {});
+  SharedBus bus(kernel, tracer, {});
   DmaEngine dma(kernel, tracer, mem, &bus, irqc, 1);
 
   std::vector<std::uint8_t> payload{9, 8, 7, 6};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/process.hpp"
 #include "vpdebug/debugger.hpp"
 #include "vpdebug/race.hpp"
@@ -148,6 +150,49 @@ TEST(RaceDetector, QuietOnLockedVersion) {
   cfg.use_semaphore = true;
   run_racy_counter(p, cfg);
   EXPECT_TRUE(det.races().empty());
+}
+
+// A debugger is one observer among several: destroying it detaches only
+// itself, so a recorder and a race detector on the same platform keep
+// observing.
+TEST(Debugger, DestroyedDebuggerLeavesOtherObserversAttached) {
+  RacyCounterConfig cfg;
+  cfg.increments_per_core = 50;
+  cfg.seed = 5;
+  std::uint64_t alone = 0;
+  {
+    sim::Platform p(two_cores());
+    ExecutionRecorder rec(p);
+    run_racy_counter(p, cfg);
+    alone = rec.fingerprint();
+  }
+  sim::Platform p(two_cores());
+  ExecutionRecorder rec(p);
+  RaceDetector det(p, racy_counter_addr(p), 8, microseconds(2));
+  {
+    Debugger dbg(p);
+    dbg.watch_memory(racy_counter_addr(p), 8);
+  }
+  run_racy_counter(p, cfg);
+  EXPECT_EQ(rec.fingerprint(), alone);
+  EXPECT_FALSE(det.races().empty());
+}
+
+// Observers destroyed before their platform runs are never called again
+// (under ASan a stale call is a use-after-free).
+TEST(ObserverLifetime, DestroyedRecorderAndDetectorAreNeverCalled) {
+  sim::Platform p(two_cores());
+  auto rec = std::make_unique<ExecutionRecorder>(p);
+  auto det =
+      std::make_unique<RaceDetector>(p, racy_counter_addr(p), 8,
+                                     microseconds(2));
+  rec.reset();
+  det.reset();
+  RacyCounterConfig cfg;
+  cfg.increments_per_core = 50;
+  cfg.seed = 5;
+  const auto r = run_racy_counter(p, cfg);
+  EXPECT_TRUE(r.bug_manifested());
 }
 
 // ------------------------------------------------------------- Heisenbug
