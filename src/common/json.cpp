@@ -11,9 +11,18 @@ namespace rw::json {
 
 namespace {
 
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];  // 20 digits of UINT64_MAX, or sign + 19 of INT64_MIN
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
 // Append `s` to `out` with JSON string escaping. Runs of characters that
 // need no escape are appended in one piece.
-void append_escaped(std::string& out, std::string_view s) {
+void Writer::append_escaped(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::size_t run = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -35,15 +44,6 @@ void append_escaped(std::string& out, std::string_view s) {
   }
   out.append(s.data() + run, s.size() - run);
 }
-
-template <typename Int>
-void append_int(std::string& out, Int v) {
-  char buf[24];  // 20 digits of UINT64_MAX, or sign + 19 of INT64_MIN
-  const auto r = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, r.ptr);
-}
-
-}  // namespace
 
 std::string Writer::escape(std::string_view s) {
   std::string out;
@@ -130,9 +130,14 @@ Writer& Writer::value(std::string_view s) {
 
 Writer& Writer::value(double v) {
   prepare_value();
+  append_number(out_, v);
+  return *this;
+}
+
+void Writer::append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
-    out_ += "null";  // JSON has no Inf/NaN
-    return *this;
+    out += "null";  // JSON has no Inf/NaN
+    return;
   }
   // The bytes of printf's %.15g when that reads back as exactly v, else
   // of %.17g, which round-trips any double. to_chars with an explicit
@@ -145,8 +150,7 @@ Writer& Writer::value(double v) {
       parsed.ec != std::errc{} || back != v)
     r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
                       17);
-  out_.append(buf, r.ptr);
-  return *this;
+  out.append(buf, r.ptr);
 }
 
 Writer& Writer::value(std::uint64_t v) {

@@ -60,6 +60,11 @@ class Writer {
 
   /// JSON string escaping (quotes, backslash, control characters).
   static std::string escape(std::string_view s);
+  /// escape(s) appended to `out`, for emitters that build a document
+  /// without a Writer.
+  static void append_escaped(std::string& out, std::string_view s);
+  /// The bytes value(double) emits for `v`, appended to `out`.
+  static void append_number(std::string& out, double v);
 
  private:
   void prepare_value();  // comma/newline/indent bookkeeping before a value

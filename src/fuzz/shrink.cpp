@@ -1,22 +1,33 @@
 #include "fuzz/shrink.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 namespace rw::fuzz {
 namespace {
 
-/// Clamp every field to its documented floor so candidates are always
-/// valid cases (from_json would accept them).
-void sanitize(CampaignCase& c) {
-  if (c.cores < 2) c.cores = 2;
-  if (c.tiles < 1) c.tiles = 1;
+/// Raise `v` to `floor`, but never above `parent`, the value the
+/// candidate was reduced from.
+template <typename T>
+void raise_to_floor(T& v, T floor, T parent) {
+  v = std::max(v, std::min(floor, parent));
+}
+
+/// Clamp every field to its documented floor so candidates of a valid
+/// case are valid cases (from_json would accept them). A floor never
+/// lifts a field above the parent's own value: shrinking must not grow
+/// a hand-built case that is already below a floor.
+void sanitize(CampaignCase& c, const CampaignCase& parent) {
+  raise_to_floor<std::uint32_t>(c.cores, 2, parent.cores);
+  raise_to_floor<std::uint32_t>(c.tiles, 1, parent.tiles);
   if (c.tiles > c.cores) c.tiles = c.cores;
-  if (c.scale < 1) c.scale = 1;
-  if (c.items < 1) c.items = 1;
-  if (c.compute_cycles < 100) c.compute_cycles = 100;
-  if (c.graph_tasks < 2) c.graph_tasks = 2;
-  if (c.tenants < 1) c.tenants = 1;
-  if (c.jobs_per_tenant < 1) c.jobs_per_tenant = 1;
+  raise_to_floor<std::uint64_t>(c.scale, 1, parent.scale);
+  raise_to_floor<std::uint64_t>(c.items, 1, parent.items);
+  raise_to_floor<std::uint64_t>(c.compute_cycles, 100, parent.compute_cycles);
+  raise_to_floor<std::uint32_t>(c.graph_tasks, 2, parent.graph_tasks);
+  raise_to_floor<std::uint32_t>(c.tenants, 1, parent.tenants);
+  raise_to_floor<std::uint32_t>(c.jobs_per_tenant, 1, parent.jobs_per_tenant);
 }
 
 /// Rebuild the plan without events [begin, end) of the sorted order.
@@ -32,10 +43,10 @@ fault::FaultPlan without_range(const fault::FaultPlan& plan,
 class CandidateSet {
  public:
   explicit CandidateSet(const CampaignCase& orig)
-      : orig_key_(orig.to_json()) {}
+      : orig_(orig), orig_key_(orig.to_json()) {}
 
   void add(CampaignCase cand) {
-    sanitize(cand);
+    sanitize(cand, orig_);
     std::string key = cand.to_json();
     if (key == orig_key_) return;  // clamping undid the reduction
     for (const std::string& seen : keys_)
@@ -47,6 +58,7 @@ class CandidateSet {
   std::vector<CampaignCase> take() { return std::move(out_); }
 
  private:
+  const CampaignCase& orig_;
   std::string orig_key_;
   std::vector<std::string> keys_;
   std::vector<CampaignCase> out_;
@@ -122,42 +134,28 @@ std::vector<CampaignCase> shrink_candidates(const CampaignCase& c) {
   }
 
   // Count axes: halve (fast) then decrement (the last unit of
-  // 1-minimality).
-  for (const std::uint32_t v : {c.cores / 2, c.cores - 1}) {
-    CampaignCase cand = c;
-    cand.cores = v;
-    set.add(std::move(cand));
-  }
-  for (const std::uint64_t v : {c.items / 2, c.items - 1}) {
-    CampaignCase cand = c;
-    cand.items = v;
-    set.add(std::move(cand));
-  }
+  // 1-minimality). Only values below the parent's are candidates: a count
+  // already at 0 would wrap on its decrement.
+  const auto reduce = [&](auto CampaignCase::*field) {
+    const auto v = c.*field;
+    for (const auto n : {v / 2, v - 1}) {
+      if (n >= v) continue;
+      CampaignCase cand = c;
+      cand.*field = n;
+      set.add(std::move(cand));
+    }
+  };
+  reduce(&CampaignCase::cores);
+  reduce(&CampaignCase::items);
   {
     CampaignCase cand = c;
     cand.compute_cycles = c.compute_cycles / 2;
     set.add(std::move(cand));
   }
-  for (const std::uint64_t v : {c.scale / 2, c.scale - 1}) {
-    CampaignCase cand = c;
-    cand.scale = v;
-    set.add(std::move(cand));
-  }
-  for (const std::uint32_t v : {c.graph_tasks / 2, c.graph_tasks - 1}) {
-    CampaignCase cand = c;
-    cand.graph_tasks = v;
-    set.add(std::move(cand));
-  }
-  for (const std::uint32_t v : {c.tenants / 2, c.tenants - 1}) {
-    CampaignCase cand = c;
-    cand.tenants = v;
-    set.add(std::move(cand));
-  }
-  for (const std::uint32_t v : {c.jobs_per_tenant / 2, c.jobs_per_tenant - 1}) {
-    CampaignCase cand = c;
-    cand.jobs_per_tenant = v;
-    set.add(std::move(cand));
-  }
+  reduce(&CampaignCase::scale);
+  reduce(&CampaignCase::graph_tasks);
+  reduce(&CampaignCase::tenants);
+  reduce(&CampaignCase::jobs_per_tenant);
   return set.take();
 }
 

@@ -26,8 +26,9 @@ using FailPredicate = std::function<bool(const CampaignCase&)>;
 
 /// All single-step reductions of `c`, in the fixed priority order the
 /// greedy loop tries them (plan chunks, plan singles, structure, knobs).
-/// Every candidate is valid (fields clamped to their floors) and
-/// distinct from `c`. Exposed so the 1-minimality property test can
+/// Every candidate of a valid case is valid (fields clamped to their
+/// floors); every candidate is distinct from `c` and has no count above
+/// `c`'s. Exposed so the 1-minimality property test can
 /// enumerate exactly the neighbourhood the shrinker searched.
 [[nodiscard]] std::vector<CampaignCase> shrink_candidates(
     const CampaignCase& c);

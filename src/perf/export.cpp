@@ -1,6 +1,8 @@
 #include "perf/export.hpp"
 
+#include <charconv>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -9,15 +11,71 @@
 
 namespace rw::perf {
 
+namespace {
+
+// Appends the bytes json::Writer::value(double(ps) * 1e-6) emits for a
+// picosecond time in Chrome's microseconds, by integer arithmetic where
+// that provably gives the same bytes. For 100 <= ps < 10^15, ps/10^6 is
+// a decimal of at most 15 significant digits in [1e-4, 1e9), so its
+// %.15g form is fixed notation with trailing zeros trimmed. The quotient
+// ps / 1e6 is correctly rounded: the double nearest that decimal. When
+// the product equals it, %.15g prints the decimal and reads back as the
+// product; when it does not, %.15g still prints the decimal, which reads
+// back as the quotient, so the writer falls to %.17g of the product.
+void append_ps_as_us(std::string& out, TimePs ps) {
+  const double us = static_cast<double>(ps) * 1e-6;
+  if (ps < 100 || ps >= 1'000'000'000'000'000ULL) {
+    json::Writer::append_number(out, us);
+    return;
+  }
+  char buf[32];
+  if (us != static_cast<double>(ps) / 1e6) {
+    const auto r = std::to_chars(buf, buf + sizeof buf, us,
+                                 std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+    return;
+  }
+  char* p = std::to_chars(buf, buf + sizeof buf, ps / 1'000'000).ptr;
+  if (std::uint64_t frac = ps % 1'000'000; frac != 0) {
+    int digits = 6;
+    for (; frac % 10 == 0; frac /= 10) --digits;
+    *p++ = '.';
+    for (int d = digits - 1; d >= 0; --d, frac /= 10)
+      p[d] = static_cast<char>('0' + frac % 10);
+    p += digits;
+  }
+  out.append(buf, p);
+}
+
+}  // namespace
+
 std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
-  json::Writer w(/*pretty=*/false);
-  w.begin_object();
-  w.key("displayTimeUnit").value("ns");
-  w.key("traceEvents").begin_array();
+  // The fixed text of one "X" event, around its label, ts, dur and tid.
+  static constexpr std::string_view kName = "{\"name\":\"";
+  static constexpr std::string_view kTs =
+      "\",\"cat\":\"compute\",\"ph\":\"X\",\"ts\":";
+  static constexpr std::string_view kDur = ",\"dur\":";
+  static constexpr std::string_view kTid = ",\"pid\":0,\"tid\":";
+  static constexpr std::string_view kHead =
+      "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+
+  // Each ComputeEnd closes at most one block: reserve for that many, with
+  // 18 bytes per number (the width of %.17g below 1e9) and 4 for the tid
+  // and separators.
+  std::size_t bytes = kHead.size() + 3;
+  for (const auto& ev : trace)
+    if (ev.kind == sim::TraceKind::kComputeEnd)
+      bytes += kName.size() + ev.label.size() + kTs.size() + kDur.size() +
+               kTid.size() + 2 * 18 + 4;
+  std::string out;
+  out.reserve(bytes);
+  out += kHead;
+
   // Pair ComputeStart/ComputeEnd per core into "X" complete events. One
   // block at a time per core, so a single open slot per core suffices; it
   // points at the start event in `trace`, which outlives this loop.
   std::vector<const sim::TraceEvent*> open;
+  bool first = true;
   for (const auto& ev : trace) {
     if (!ev.core.is_valid()) continue;
     const std::size_t c = ev.core.index();
@@ -27,22 +85,23 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
     } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
                ev.label == open[c]->label) {
       const TimePs start = open[c]->time;
-      w.begin_object();
-      w.key("name").value(ev.label);
-      w.key("cat").value("compute");
-      w.key("ph").value("X");
-      // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
-      w.key("ts").value(static_cast<double>(start) * 1e-6);
-      w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
-      w.key("pid").value(std::uint64_t{0});
-      w.key("tid").value(static_cast<std::uint64_t>(c));
-      w.end_object();
+      if (!first) out += ',';
+      first = false;
+      out += kName;
+      json::Writer::append_escaped(out, ev.label);
+      out += kTs;
+      append_ps_as_us(out, start);
+      out += kDur;
+      append_ps_as_us(out, ev.time - start);
+      out += kTid;
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, c).ptr);
+      out += '}';
       open[c] = nullptr;
     }
   }
-  w.end_array();
-  w.end_object();
-  return w.str() + "\n";
+  out += "]}\n";
+  return out;
 }
 
 std::string to_folded_stacks(const SamplingProfiler::Profile& profile) {

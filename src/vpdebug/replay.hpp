@@ -24,6 +24,10 @@
 
 namespace rw::vpdebug {
 
+/// One FNV-1a step per byte of `v`, low byte first: the recorder's fold
+/// of every integer field.
+[[nodiscard]] std::uint64_t fnv1a_fold_u64(std::uint64_t h, std::uint64_t v);
+
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
 /// payloads) plus the event count, canonicalized per tile. Each tile's
 /// fold is its own Observer on that tile's bus, so tiles never share one.

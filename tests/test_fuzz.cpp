@@ -14,6 +14,7 @@
 #include "fuzz/coverage.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracle.hpp"
+#include "fuzz/shrink.hpp"
 #include "maps/taskgraph.hpp"
 
 namespace {
@@ -203,19 +204,63 @@ TEST(FuzzOracle, InvariantNamesAreStableAndNonEmpty) {
 // A run that throws is a finding, not a lost case: run_case reports it
 // as run.exception (so the campaign counts, records and shrinks it like
 // any other violation) instead of letting the exception escape.
-TEST(FuzzOracle, ThrowingRunBecomesARunExceptionViolation) {
-  // Hand-built: a platform with no cores fails config validation (from_json
-  // and the generator never produce one, so no seed can reach this).
+/// Hand-built: a platform with no cores fails config validation (from_json
+/// and the generator never produce one, so no seed can reach this).
+fuzz::CampaignCase zero_core_case() {
   fuzz::CampaignCase c;
   c.seed = 3;
   c.family = fuzz::Family::kPipeline;
   c.cores = 0;
+  return c;
+}
+
+TEST(FuzzOracle, ThrowingRunBecomesARunExceptionViolation) {
+  const fuzz::CampaignCase c = zero_core_case();
   fuzz::CaseOutcome out;
   ASSERT_NO_THROW(out = fuzz::run_case(c));
   EXPECT_TRUE(out.violates("run.exception"));
   const auto& names = fuzz::invariant_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "run.exception"),
             names.end());
+}
+
+/// Every count of `cand` is at most its parent's.
+bool no_count_above(const fuzz::CampaignCase& cand,
+                    const fuzz::CampaignCase& parent) {
+  return cand.cores <= parent.cores && cand.tiles <= parent.tiles &&
+         cand.scale <= parent.scale && cand.items <= parent.items &&
+         cand.compute_cycles <= parent.compute_cycles &&
+         cand.graph_tasks <= parent.graph_tasks &&
+         cand.tenants <= parent.tenants &&
+         cand.jobs_per_tenant <= parent.jobs_per_tenant;
+}
+
+// Regression: a count already at 0 used to be "decremented" to its type's
+// maximum, and the shrinker then hung building a 4 294 967 295-core
+// platform. Shrinking a case below its floors must only ever shrink it.
+TEST(FuzzShrink, BelowFloorCaseShrinksWithoutGrowing) {
+  const fuzz::CampaignCase c = zero_core_case();
+  for (const fuzz::CampaignCase& cand : fuzz::shrink_candidates(c))
+    EXPECT_TRUE(no_count_above(cand, c)) << cand.summary();
+
+  // Check each candidate before running it, so a regression fails here
+  // instead of hanging in the platform build.
+  const fuzz::FailPredicate pred = [&c](const fuzz::CampaignCase& k) {
+    if (!no_count_above(k, c)) {
+      ADD_FAILURE() << "candidate grew: " << k.summary();
+      return false;
+    }
+    return fuzz::run_case(k).violates("run.exception");
+  };
+  constexpr std::size_t kBudget = 200;
+  const fuzz::ShrinkResult r = fuzz::shrink_case(c, pred, kBudget);
+  EXPECT_FALSE(r.at_budget);
+  EXPECT_LT(r.attempts, kBudget);
+  EXPECT_GT(r.steps, 0u);
+  EXPECT_EQ(r.minimal.cores, 0u);
+  EXPECT_TRUE(pred(r.minimal));
+  for (const fuzz::CampaignCase& cand : fuzz::shrink_candidates(r.minimal))
+    EXPECT_TRUE(no_count_above(cand, r.minimal)) << cand.summary();
 }
 
 }  // namespace

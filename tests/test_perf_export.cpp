@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string_view>
 
+#include "common/json.hpp"
+#include "common/rng.hpp"
 #include "harness/harness.hpp"
 #include "perf/driver.hpp"
 #include "perf/export.hpp"
@@ -152,6 +156,188 @@ TEST(ExportTest, EmptyInputsProduceValidSkeletons) {
   EXPECT_EQ(to_folded_stacks(p), "");
   const std::string csv = to_csv({}, 2);
   EXPECT_EQ(csv.rfind("epoch,", 0), 0u);  // header only
+}
+
+// ------------------------------------------------ chrome trace oracle
+
+// The Chrome exporter as first written on json::Writer: every number
+// through Writer::value(double). The real exporter must emit the same
+// bytes by its integer fast path.
+std::string oracle_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
+  json::Writer w(/*pretty=*/false);
+  w.begin_object();
+  w.key("displayTimeUnit").value("ns");
+  w.key("traceEvents").begin_array();
+  std::vector<const sim::TraceEvent*> open;
+  for (const auto& ev : trace) {
+    if (!ev.core.is_valid()) continue;
+    const std::size_t c = ev.core.index();
+    if (c >= open.size()) open.resize(c + 1, nullptr);
+    if (ev.kind == sim::TraceKind::kComputeStart) {
+      open[c] = &ev;
+    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
+               ev.label == open[c]->label) {
+      const TimePs start = open[c]->time;
+      w.begin_object();
+      w.key("name").value(ev.label);
+      w.key("cat").value("compute");
+      w.key("ph").value("X");
+      w.key("ts").value(static_cast<double>(start) * 1e-6);
+      w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
+      w.key("pid").value(std::uint64_t{0});
+      w.key("tid").value(static_cast<std::uint64_t>(c));
+      w.end_object();
+      open[c] = nullptr;
+    }
+  }
+  w.end_array();
+  w.end_object();
+  return w.str() + "\n";
+}
+
+sim::TraceEvent trace_event(TimePs time, sim::TraceKind kind, sim::CoreId core,
+                            std::string label) {
+  sim::TraceEvent ev;
+  ev.time = time;
+  ev.kind = kind;
+  ev.core = core;
+  ev.label = std::move(label);
+  return ev;
+}
+
+void add_block(std::vector<sim::TraceEvent>& t, std::uint32_t core,
+               TimePs start, TimePs end, const std::string& label = "b") {
+  t.push_back(trace_event(start, sim::TraceKind::kComputeStart,
+                          sim::CoreId{core}, label));
+  t.push_back(
+      trace_event(end, sim::TraceKind::kComputeEnd, sim::CoreId{core}, label));
+}
+
+/// Blocks that put `ps` in both number positions: once as ts, once as dur.
+void add_value(std::vector<sim::TraceEvent>& t, TimePs ps) {
+  add_block(t, 0, ps, ps);
+  add_block(t, 1, 0, ps);
+}
+
+bool product_is_quotient(TimePs ps) {
+  return static_cast<double>(ps) * 1e-6 == static_cast<double>(ps) / 1e6;
+}
+
+TEST(ChromeExportOracle, PerfProgramsOnBusAndMesh) {
+  for (const char* program :
+       {"pipeline", "forkjoin", "shared_hammer", "tiled_pipeline"}) {
+    for (const bool mesh : {false, true}) {
+      auto cfg = sim::PlatformConfig::homogeneous(4);
+      cfg.trace_enabled = true;
+      if (mesh) {
+        cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
+        cfg.mesh.width = 2;
+        cfg.mesh.height = 2;
+      }
+      sim::Platform plat(std::move(cfg));
+      ASSERT_TRUE(spawn_workload(program, plat, /*seed=*/5, /*scale=*/8));
+      plat.run();
+      const auto& trace = plat.tracer().events();
+      const std::string got = to_chrome_trace(trace);
+      EXPECT_NE(got.find("\"ph\":\"X\""), std::string::npos) << program;
+      EXPECT_EQ(got, oracle_chrome_trace(trace))
+          << program << (mesh ? " on mesh" : " on bus");
+    }
+  }
+}
+
+TEST(ChromeExportOracle, SyntheticTimesAcrossEveryNumberPath) {
+  std::vector<TimePs> values;
+  // ps < 100 goes through the writer ("0", then exponent form); all of
+  // 100..99 999 and a sample up to 999 999 take the fixed-point range.
+  for (TimePs ps = 0; ps < 100'000; ++ps) values.push_back(ps);
+  Rng rng(15);
+  for (int i = 0; i < 20'000; ++i)
+    values.push_back(100'000 + rng.next_below(900'000));
+  // Every decade up to 10^15, its edges and random values inside it.
+  for (TimePs p10 = 1'000'000; p10 <= 1'000'000'000'000'000ULL; p10 *= 10) {
+    for (const TimePs ps : {p10 - 1, p10, p10 + 1, p10 + 500'000})
+      values.push_back(ps);
+    for (int i = 0; i < 2'000; ++i)
+      values.push_back(p10 / 10 + rng.next_below(p10 - p10 / 10));
+  }
+  // At and beyond 10^15 the writer takes over again.
+  for (int i = 0; i < 1'000; ++i)
+    values.push_back(1'000'000'000'000'000ULL + rng.next_u64() % (1ULL << 62));
+  values.push_back(std::numeric_limits<TimePs>::max() - 1);
+  values.push_back(std::numeric_limits<TimePs>::max());
+
+  // Both sides of the fast path's quotient check occur, in range.
+  std::size_t exact = 0;
+  std::size_t inexact = 0;
+  for (const TimePs ps : values)
+    if (ps >= 100 && ps < 1'000'000'000'000'000ULL)
+      ++(product_is_quotient(ps) ? exact : inexact);
+  EXPECT_GT(exact, 10'000u);
+  EXPECT_GT(inexact, 1'000u);
+
+  std::vector<sim::TraceEvent> trace;
+  for (const TimePs ps : values) add_value(trace, ps);
+  EXPECT_EQ(to_chrome_trace(trace), oracle_chrome_trace(trace));
+}
+
+TEST(ChromeExportOracle, LabelsNeedingEscapes) {
+  std::vector<sim::TraceEvent> trace;
+  const std::string labels[] = {"quote\"d", "back\\slash", "tab\there",
+                                std::string("ctl\x01" "byte"), "",
+                                "nl\nand\rcr"};
+  TimePs t = 0;
+  for (const std::string& l : labels) {
+    add_block(trace, 2, t + 1'000, t + 2'500'000, l);
+    t += 3'000'000;
+  }
+  const std::string got = to_chrome_trace(trace);
+  EXPECT_EQ(got, oracle_chrome_trace(trace));
+  EXPECT_NE(got.find("quote\\\"d"), std::string::npos);
+  EXPECT_NE(got.find("back\\\\slash"), std::string::npos);
+  EXPECT_NE(got.find("tab\\there"), std::string::npos);
+  EXPECT_NE(got.find("ctl\\u0001byte"), std::string::npos);
+  const auto doc = json::parse(got);
+  ASSERT_TRUE(doc.ok());
+  const json::Value* events = doc.value().get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->size(), std::size(labels));
+  for (std::size_t i = 0; i < std::size(labels); ++i)
+    EXPECT_EQ(events->at(i).get_string("name"), labels[i]);
+}
+
+TEST(ChromeExportOracle, UnmatchedEventsAndInvalidCores) {
+  using K = sim::TraceKind;
+  std::vector<sim::TraceEvent> trace = {
+      // An end with no start, then a start that never ends.
+      trace_event(5'000, K::kComputeEnd, sim::CoreId{0}, "orphan"),
+      trace_event(6'000, K::kComputeStart, sim::CoreId{1}, "never_ends"),
+      // An end whose label differs from the open start.
+      trace_event(7'000, K::kComputeStart, sim::CoreId{0}, "a"),
+      trace_event(8'000, K::kComputeEnd, sim::CoreId{0}, "b"),
+      // A restarted block: the second start replaces the first.
+      trace_event(9'000, K::kComputeStart, sim::CoreId{2}, "x"),
+      trace_event(9'500, K::kComputeStart, sim::CoreId{2}, "x"),
+      trace_event(12'345'678, K::kComputeEnd, sim::CoreId{2}, "x"),
+      // Invalid cores are skipped, even with a matching pair.
+      trace_event(10'000, K::kComputeStart, sim::CoreId{}, "nocore"),
+      trace_event(11'000, K::kComputeEnd, sim::CoreId{}, "nocore"),
+      // Other kinds in between, and a core far above the rest.
+      trace_event(11'500, K::kMemRead, sim::CoreId{0}, ""),
+      trace_event(12'000, K::kComputeStart, sim::CoreId{40}, "far"),
+      trace_event(13'000, K::kCustom, sim::CoreId{40}, "far"),
+      trace_event(14'000, K::kComputeEnd, sim::CoreId{40}, "far"),
+      // The label-mismatched block on core 0 is still open: close it.
+      trace_event(15'000, K::kComputeEnd, sim::CoreId{0}, "a"),
+  };
+  const std::string got = to_chrome_trace(trace);
+  EXPECT_EQ(got, oracle_chrome_trace(trace));
+  const auto doc = json::parse(got);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc.value().get("traceEvents")->size(), 3u);  // x, far, a
+  EXPECT_EQ(got.find("orphan"), std::string::npos);
+  EXPECT_EQ(got.find("never_ends"), std::string::npos);
+  EXPECT_EQ(got.find("nocore"), std::string::npos);
 }
 
 // Harness integration: the exports ride RunMetrics extras (as a split

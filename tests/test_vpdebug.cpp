@@ -2,6 +2,9 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
+#include "perf/workload.hpp"
+#include "sim/parallel.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/debugger.hpp"
 #include "vpdebug/race.hpp"
@@ -257,6 +260,70 @@ TEST(Replay, DifferentSeedsDifferentFingerprints) {
     return rec.fingerprint();
   };
   EXPECT_NE(fp(1), fp(2));
+}
+
+// --------------------------------------------------------------- recorder
+
+/// The plain FNV-1a fold of a u64's eight bytes, low byte first.
+std::uint64_t byte_loop_fold(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Recorder, FoldMatchesByteLoop) {
+  Rng rng(15);
+  std::vector<std::uint64_t> values = {0, ~0ULL, 1, 0xff, 0x100,
+                                       0x8000000000000000ULL};
+  // Every count of high zero bytes, with and without interior zeros.
+  for (int k = 0; k <= 8; ++k) {
+    const std::uint64_t mask = k == 8 ? 0 : ~0ULL >> (8 * k);
+    values.push_back(mask);
+    values.push_back(mask & 0x0100010001000100ULL);
+    for (int i = 0; i < 64; ++i) values.push_back(rng.next_u64() & mask);
+  }
+  for (int i = 0; i < 4096; ++i) values.push_back(rng.next_u64());
+  for (const std::uint64_t h : {0ULL, 1469598103934665603ULL, ~0ULL})
+    for (const std::uint64_t v : values)
+      EXPECT_EQ(fnv1a_fold_u64(h, v), byte_loop_fold(h, v))
+          << std::hex << "h=" << h << " v=" << v;
+}
+
+/// Fingerprint of one perf demo program on a 4-core platform (bus or 2x2
+/// mesh, optionally split into tiles), seed 7, scale 2.
+std::uint64_t program_fingerprint(const char* workload, bool mesh,
+                                  std::uint32_t tiles = 1) {
+  auto cfg = sim::PlatformConfig::homogeneous(4);
+  if (mesh) {
+    cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
+    cfg.mesh.width = 2;
+    cfg.mesh.height = 2;
+  }
+  if (tiles > 1) sim::apply_tiling(cfg, tiles, /*partition_cores=*/true);
+  sim::Platform p(std::move(cfg));
+  ExecutionRecorder rec(p);
+  EXPECT_TRUE(perf::spawn_workload(workload, p, /*seed=*/7, /*scale=*/2));
+  p.run();
+  EXPECT_GT(rec.events(), 0u);
+  return rec.fingerprint();
+}
+
+// Pins the digest bits themselves, not only their rerun stability: a fold
+// rewrite that changed any fingerprint would silently invalidate every
+// recorded fingerprint, so these values must never move.
+TEST(Recorder, GoldenFingerprints) {
+  EXPECT_EQ(program_fingerprint("pipeline", false), 17342174653417420267ULL);
+  EXPECT_EQ(program_fingerprint("pipeline", true), 17342174653417420267ULL);
+  EXPECT_EQ(program_fingerprint("forkjoin", false), 9063551089641506420ULL);
+  EXPECT_EQ(program_fingerprint("forkjoin", true), 9063551089641506420ULL);
+  EXPECT_EQ(program_fingerprint("shared_hammer", false),
+            5267487411695874143ULL);
+  EXPECT_EQ(program_fingerprint("shared_hammer", true),
+            15686536919854300018ULL);
+  EXPECT_EQ(program_fingerprint("tiled_pipeline", false, 2),
+            12593054202660704073ULL);
 }
 
 // ------------------------------------------------------------- masked irq
