@@ -159,13 +159,34 @@ struct Runtime {
 
 // ----------------------------------------------------------- data-driven
 
+Status check_periodic_boundaries(const Graph& g) {
+  const auto rv = g.repetition_vector();
+  if (!rv.ok()) return rv.error();
+  // The periodic-source/sink model ticks each source and sink once per
+  // graph iteration; rate-mismatched sources would need sub-period timers.
+  for (std::size_t a = 0; a < g.actors().size(); ++a) {
+    const auto aid = ActorId{static_cast<std::uint32_t>(a)};
+    const bool boundary = g.in_edges(aid).empty() || g.out_edges(aid).empty();
+    if (boundary && rv.value().firings[a] != 1)
+      return make_error("source/sink actor '" + g.actors()[a].name +
+                        "' must fire exactly once per iteration (has " +
+                        std::to_string(rv.value().firings[a]) + ")");
+  }
+  return Status::ok_status();
+}
+
 ExecResult run_data_driven(const Graph& g, const ExecConfig& cfg) {
   if (auto s = g.validate(); !s.ok())
     throw std::invalid_argument("invalid graph: " + s.error().to_string());
+  if (auto s = check_periodic_boundaries(g); !s.ok())
+    throw std::invalid_argument("no periodic schedule: " +
+                                s.error().to_string());
   Runtime rt(g, cfg);
 
   // Sink timers are offset by the design-time latency so the pipeline has
-  // filled when the first sink tick arrives.
+  // filled when the first sink tick arrives. An unsustainable period has
+  // no schedule; its sinks tick from 0 and the overload shows as drops
+  // and underruns.
   DurationPs sink_offset = 0;
   if (auto sched = compute_static_schedule(g, cfg); sched.ok())
     sink_offset = sched.value().makespan;
@@ -238,19 +259,8 @@ ExecResult run_data_driven(const Graph& g, const ExecConfig& cfg) {
 Result<StaticSchedule> compute_static_schedule(const Graph& g,
                                                const ExecConfig& cfg) {
   if (auto s = g.validate(); !s.ok()) return s.error();
+  if (auto s = check_periodic_boundaries(g); !s.ok()) return s.error();
   const auto rv = g.repetition_vector();
-  if (!rv.ok()) return rv.error();
-
-  // The periodic-source/sink model ticks each source and sink once per
-  // graph iteration; rate-mismatched sources would need sub-period timers.
-  for (std::size_t a = 0; a < g.actors().size(); ++a) {
-    const auto aid = ActorId{static_cast<std::uint32_t>(a)};
-    const bool boundary = g.in_edges(aid).empty() || g.out_edges(aid).empty();
-    if (boundary && rv.value().firings[a] != 1)
-      return make_error("source/sink actor '" + g.actors()[a].name +
-                        "' must fire exactly once per iteration (has " +
-                        std::to_string(rv.value().firings[a]) + ")");
-  }
 
   // Per-core utilization must fit the period: each core executes
   // rv.cycles[a] * wcet_sum(a) cycles per graph iteration. This is the

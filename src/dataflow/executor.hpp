@@ -63,8 +63,14 @@ struct ExecResult {
   }
 };
 
+/// The structural precondition of a periodic schedule: consistent rates,
+/// and every source and sink fires exactly once per graph iteration.
+Status check_periodic_boundaries(const Graph& g);
+
 /// Run the graph data-driven. Buffer capacities default to
-/// max(prod)+max(cons)+initial per edge when not supplied.
+/// max(prod)+max(cons)+initial per edge when not supplied. Throws
+/// std::invalid_argument for an invalid graph or one that fails
+/// check_periodic_boundaries; an unsustainable period is not an error.
 ExecResult run_data_driven(const Graph& g, const ExecConfig& cfg);
 
 /// Run the graph time-triggered against a static periodic schedule derived

@@ -252,9 +252,11 @@ struct Service::Impl {
   std::map<std::pair<std::size_t, std::uint64_t>, PendingJob> waiting;
   std::vector<PendingJob> ready;
   std::map<std::pair<std::size_t, std::uint64_t>, RunningJob> running;
-  std::vector<sim::TraceEvent> trace;
+  sim::Tracer trace;
 
-  explicit Impl(const ServiceConfig& cfg) : shared_pool(cfg.total_cores) {}
+  explicit Impl(const ServiceConfig& cfg) : shared_pool(cfg.total_cores) {
+    trace.set_enabled(true);
+  }
 };
 
 Service::Service(ServiceConfig cfg)
@@ -357,9 +359,9 @@ std::vector<TenantStats> Service::all_tenant_stats() const {
   return out;
 }
 
-std::vector<sim::TraceEvent> Service::trace() const {
+sim::TraceLog Service::trace() const {
   std::lock_guard lock(impl_->engine_mu);
-  return impl_->trace;
+  return impl_->trace.events();
 }
 
 namespace {
@@ -610,17 +612,13 @@ void Service::grant_pass_locked() {
     t.stats.peak_cores = std::max(t.stats.peak_cores, t.in_use_cores);
 
     if (cfg_.record_trace) {
-      sim::TraceEvent ev;
-      ev.core = sim::CoreId{static_cast<std::uint32_t>(run.cores.front())};
-      ev.label = t.cfg.name + "/" + job.spec.name + "#" +
-                 std::to_string(job.seq);
-      ev.a = run.cores.size();
-      ev.time = run.started;
-      ev.kind = sim::TraceKind::kComputeStart;
-      im.trace.push_back(ev);
-      ev.time = run.finished;
-      ev.kind = sim::TraceKind::kComputeEnd;
-      im.trace.push_back(ev);
+      const sim::CoreId core{static_cast<std::uint32_t>(run.cores.front())};
+      const sim::LabelId label = im.trace.intern(
+          t.cfg.name + "/" + job.spec.name + "#" + std::to_string(job.seq));
+      im.trace.record(run.started, sim::TraceKind::kComputeStart, core, label,
+                      run.cores.size());
+      im.trace.record(run.finished, sim::TraceKind::kComputeEnd, core, label,
+                      run.cores.size());
     }
 
     im.events.push(Event{run.finished, true, job.tenant, job.seq});

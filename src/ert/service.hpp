@@ -140,7 +140,7 @@ class Service {
   /// Per-job ComputeStart/ComputeEnd events (core = first core of the
   /// granted gang, label = "tenant/job#seq"), ready for the rw::perf
   /// exporters (perf::to_chrome_trace). Empty when record_trace is off.
-  [[nodiscard]] std::vector<sim::TraceEvent> trace() const;
+  [[nodiscard]] sim::TraceLog trace() const;
 
  private:
   friend class Session;

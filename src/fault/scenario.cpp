@@ -211,7 +211,7 @@ class IntegritySink final : public sim::Observer {
     (void)freq;
     reservations_.push_back({core.index(), start, finish, cycles, false});
   }
-  void on_compute_block(sim::CoreId core, const std::string& label,
+  void on_compute_block(sim::CoreId core, std::string_view label,
                         Cycles cycles, TimePs start,
                         TimePs finish) override {
     (void)label;

@@ -13,7 +13,10 @@ WatchdogPeripheral::WatchdogPeripheral(sim::Kernel& kernel,
       tracer_(tracer),
       irqc_(irqc),
       irq_line_(irq_line),
-      expired_(Peripheral::name() + ".expired", tracer) {}
+      expired_(Peripheral::name() + ".expired", tracer),
+      arm_label_(tracer.intern("wdt.arm")),
+      disarm_label_(tracer.intern("wdt.disarm")),
+      expire_label_(tracer.intern("wdt.expire")) {}
 
 void WatchdogPeripheral::arm(DurationPs timeout) {
   if (timeout == 0)
@@ -22,7 +25,7 @@ void WatchdogPeripheral::arm(DurationPs timeout) {
   armed_ = true;
   ++generation_;
   tracer_.record(kernel_.now(), sim::TraceKind::kCustom, sim::CoreId{},
-                 "wdt.arm", timeout, 0);
+                 arm_label_, timeout, 0);
   schedule_expiry();
 }
 
@@ -38,7 +41,7 @@ void WatchdogPeripheral::disarm() {
   armed_ = false;
   ++generation_;
   tracer_.record(kernel_.now(), sim::TraceKind::kCustom, sim::CoreId{},
-                 "wdt.disarm", expired_count_, kick_count_);
+                 disarm_label_, expired_count_, kick_count_);
 }
 
 void WatchdogPeripheral::schedule_expiry() {
@@ -49,7 +52,7 @@ void WatchdogPeripheral::schedule_expiry() {
     if (gen != generation_ || !armed_) return;  // kicked or disarmed
     ++expired_count_;
     tracer_.record(kernel_.now(), sim::TraceKind::kCustom, sim::CoreId{},
-                   "wdt.expire", expired_count_, 0);
+                   expire_label_, expired_count_, 0);
     expired_.pulse();
     irqc_.raise(irq_line_);
     ++generation_;

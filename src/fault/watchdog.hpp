@@ -68,6 +68,7 @@ class WatchdogPeripheral final : public sim::Peripheral {
   std::uint64_t expired_count_ = 0;
   std::uint64_t kick_count_ = 0;
   sim::Signal expired_;
+  sim::LabelId arm_label_, disarm_label_, expire_label_;  // trace labels
 };
 
 }  // namespace rw::fault

@@ -11,6 +11,7 @@
 #include "common/strings.hpp"
 #include "dataflow/buffers.hpp"
 #include "dataflow/deadlock.hpp"
+#include "dataflow/executor.hpp"
 #include "lint/passes.hpp"
 
 namespace rw::lint {
@@ -34,6 +35,19 @@ class BufferPass final : public Pass {
     // deadlock pass already reports it.
     if (!g.repetition_vector().ok()) return;
     if (dataflow::detect_deadlock(g).deadlocked) return;
+    // Nor has one whose source or sink fires more than once per iteration:
+    // the periodic source/sink timers cannot drive it at all.
+    if (const auto s = dataflow::check_periodic_boundaries(g); !s.ok()) {
+      Diagnostic d;
+      d.severity = Severity::kError;
+      d.subsystem = "dataflow";
+      d.pass = "buffer-bounds";
+      d.kind = "no-periodic-schedule";
+      d.location = {t.name, ""};
+      d.message = s.error().to_string();
+      out.push_back(std::move(d));
+      return;
+    }
 
     const auto sizing = dataflow::compute_buffer_capacities(
         g, t.dataflow_cfg);

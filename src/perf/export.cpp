@@ -49,7 +49,7 @@ void append_ps_as_us(std::string& out, TimePs ps) {
 
 }  // namespace
 
-std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
+std::string to_chrome_trace(const sim::TraceLog& trace) {
   // The fixed text of one "X" event, around its label, ts, dur and tid.
   static constexpr std::string_view kName = "{\"name\":\"";
   static constexpr std::string_view kTs =
@@ -59,21 +59,32 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
   static constexpr std::string_view kHead =
       "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
 
+  // Each label escaped once: label id i is escaped[at[i], at[i + 1]).
+  const sim::LabelTable& labels = trace.labels();
+  std::string escaped;
+  std::vector<std::size_t> at(labels.size() + 1, 0);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    json::Writer::append_escaped(escaped,
+                                 labels.view(static_cast<sim::LabelId>(i)));
+    at[i + 1] = escaped.size();
+  }
+
   // Each ComputeEnd closes at most one block: reserve for that many, with
   // 18 bytes per number (the width of %.17g below 1e9) and 4 for the tid
   // and separators.
   std::size_t bytes = kHead.size() + 3;
   for (const auto& ev : trace)
     if (ev.kind == sim::TraceKind::kComputeEnd)
-      bytes += kName.size() + ev.label.size() + kTs.size() + kDur.size() +
-               kTid.size() + 2 * 18 + 4;
+      bytes += kName.size() + (at[ev.label + 1] - at[ev.label]) +
+               kTs.size() + kDur.size() + kTid.size() + 2 * 18 + 4;
   std::string out;
   out.reserve(bytes);
   out += kHead;
 
   // Pair ComputeStart/ComputeEnd per core into "X" complete events. One
   // block at a time per core, so a single open slot per core suffices; it
-  // points at the start event in `trace`, which outlives this loop.
+  // points at the start event in `trace`, which outlives this loop. Labels
+  // are interned, so equal ids are equal labels.
   std::vector<const sim::TraceEvent*> open;
   bool first = true;
   for (const auto& ev : trace) {
@@ -88,7 +99,7 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
       if (!first) out += ',';
       first = false;
       out += kName;
-      json::Writer::append_escaped(out, ev.label);
+      out.append(escaped, at[ev.label], at[ev.label + 1] - at[ev.label]);
       out += kTs;
       append_ps_as_us(out, start);
       out += kDur;

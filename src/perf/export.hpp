@@ -22,7 +22,7 @@ struct PerfReport;  // session.hpp
 
 /// Chrome trace-event JSON built from ComputeStart/ComputeEnd trace pairs
 /// (pid 0, tid = core index, timestamps in microseconds).
-std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace);
+std::string to_chrome_trace(const sim::TraceLog& trace);
 
 /// Folded-stack lines "core<i>;<label> <samples>", (core,label) ordered.
 std::string to_folded_stacks(const SamplingProfiler::Profile& profile);

@@ -10,7 +10,7 @@ void Pmu::on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
   ++c.reservations;
 }
 
-void Pmu::on_compute_block(sim::CoreId core, const std::string& /*label*/,
+void Pmu::on_compute_block(sim::CoreId core, std::string_view /*label*/,
                            Cycles /*cycles*/, TimePs /*start*/,
                            TimePs /*finish*/) {
   ++bucket(core).compute_blocks;

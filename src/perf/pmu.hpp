@@ -109,7 +109,7 @@ class Pmu final : public sim::Observer {
   // sim::Observer
   void on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
                        TimePs finish, HertzT freq) override;
-  void on_compute_block(sim::CoreId core, const std::string& label,
+  void on_compute_block(sim::CoreId core, std::string_view label,
                         Cycles cycles, TimePs start, TimePs finish) override;
   void on_freq_change(sim::CoreId core, HertzT from, HertzT to) override;
   void on_mem_access(const sim::MemAccess& acc) override;

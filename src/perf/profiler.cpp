@@ -11,6 +11,10 @@ SamplingProfiler::SamplingProfiler(sim::Platform& platform, ProfilerConfig cfg)
       per_core_(platform.core_count()),
       idle_per_core_(platform.core_count(), 0) {
   if (cfg_.period == 0) cfg_.period = microseconds(10);
+  for (std::size_t i = 0; i < platform.core_count(); ++i) {
+    sim::Tracer& t = platform.core(i).tracer();
+    bucket_ids_.push_back({t.intern(kIdleLabel), t.intern(kReservedLabel)});
+  }
 }
 
 void SamplingProfiler::start() {
@@ -36,13 +40,13 @@ void SamplingProfiler::tick(std::uint32_t tile) {
     } else {
       // Busy but between labelled blocks means raw reserve() work (e.g. a
       // scheduler dispatch cost); bucket it so shares still sum to one.
-      const std::string& lbl = core.current_label();
-      const std::string& name = lbl == kIdleLabel ? kReservedLabel : lbl;
+      sim::LabelId label = core.current_label_id();
+      if (label == bucket_ids_[i].idle) label = bucket_ids_[i].reserved;
       auto& cells = per_core_[i];
       auto it = std::find_if(cells.begin(), cells.end(),
-                             [&](const Cell& c) { return c.label == name; });
+                             [&](const Cell& c) { return c.label == label; });
       if (it == cells.end()) {
-        cells.push_back(Cell{name, 1});
+        cells.push_back(Cell{label, 1});
       } else {
         ++it->count;
       }
@@ -68,8 +72,10 @@ SamplingProfiler::Profile SamplingProfiler::profile() const {
   p.total_samples = ticks_ * per_core_.size();
   for (std::size_t i = 0; i < per_core_.size(); ++i) {
     p.idle_samples += idle_per_core_[i];
+    const sim::Tracer& tracer = platform_.core(i).tracer();
     for (const auto& cell : per_core_[i]) {
-      p.entries.push_back(Entry{i, cell.label, cell.count});
+      p.entries.push_back(
+          Entry{i, std::string(tracer.label(cell.label)), cell.count});
       p.busy_samples += cell.count;
     }
   }
@@ -82,13 +88,14 @@ SamplingProfiler::Profile SamplingProfiler::profile() const {
 }
 
 double attribution_accuracy(const SamplingProfiler::Profile& profile,
-                            const std::vector<sim::TraceEvent>& trace,
+                            const sim::TraceLog& trace,
                             std::size_t num_cores) {
   // Exact busy time per (core,label): pair ComputeStart/ComputeEnd events.
   // A core runs one block at a time, so a per-core open-start slot suffices.
-  std::map<std::pair<std::size_t, std::string>, double> exact;
+  // Label id 0 is the empty label, which marks a closed slot as before.
+  std::map<std::pair<std::size_t, std::string_view>, double> exact;
   std::vector<TimePs> open_start(num_cores, 0);
-  std::vector<std::string> open_label(num_cores);
+  std::vector<sim::LabelId> open_label(num_cores, 0);
   double exact_total = 0.0;
   for (const auto& ev : trace) {
     if (!ev.core.is_valid() || ev.core.index() >= num_cores) continue;
@@ -99,9 +106,9 @@ double attribution_accuracy(const SamplingProfiler::Profile& profile,
     } else if (ev.kind == sim::TraceKind::kComputeEnd &&
                ev.label == open_label[c]) {
       const double dur = static_cast<double>(ev.time - open_start[c]);
-      exact[{c, ev.label}] += dur;
+      exact[{c, trace.label(ev)}] += dur;
       exact_total += dur;
-      open_label[c].clear();
+      open_label[c] = 0;
     }
   }
 

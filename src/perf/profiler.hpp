@@ -88,13 +88,19 @@ class SamplingProfiler {
   ProfilerConfig cfg_;
   bool started_ = false;
   std::uint64_t ticks_ = 0;
-  // Dense per-core accumulation; label -> count kept sorted at export.
+  // Dense per-core accumulation keyed by the label's id in the core's
+  // tracer table; resolved and sorted at export.
   struct Cell {
-    std::string label;
+    sim::LabelId label = 0;
     std::uint64_t count = 0;
   };
   std::vector<std::vector<Cell>> per_core_;  // [core] -> cells
   std::vector<std::uint64_t> idle_per_core_;
+  // [core] -> ids of kIdleLabel and kReservedLabel in its tracer table.
+  struct BucketIds {
+    sim::LabelId idle, reserved;
+  };
+  std::vector<BucketIds> bucket_ids_;
 };
 
 /// How well a sampled profile matches the exact per-(core,label) busy-time
@@ -103,7 +109,7 @@ class SamplingProfiler {
 /// pairs, in [0,1], 1 = perfect attribution. Requires the platform to have
 /// run with trace_enabled.
 double attribution_accuracy(const SamplingProfiler::Profile& profile,
-                            const std::vector<sim::TraceEvent>& trace,
+                            const sim::TraceLog& trace,
                             std::size_t num_cores);
 
 }  // namespace rw::perf

@@ -6,7 +6,7 @@
 
 namespace rw::perf {
 
-TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
+TraceView TraceView::from_events(const sim::TraceLog& events) {
   TraceView v;
   v.total_events_ = events.size();
 
@@ -16,17 +16,19 @@ TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
   // the DMA engine serializes so one FIFO suffices.
   std::map<std::uint64_t, std::size_t> open_tasks;          // task -> index
   std::map<std::uint64_t, std::deque<std::size_t>> open_msgs;  // key -> FIFO
-  std::map<std::size_t, std::size_t> open_blocks;           // core -> index
+  // core -> (index, label id)
+  std::map<std::size_t, std::pair<std::size_t, sim::LabelId>> open_blocks;
   std::deque<std::size_t> open_dmas;
 
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const sim::TraceEvent& ev = events[i];
+  std::size_t next = 0;
+  for (const sim::TraceEvent& ev : events) {
+    const std::size_t i = next++;
     switch (ev.kind) {
       case sim::TraceKind::kTaskStart: {
         ComputeSpan s;
         s.seq = i;
         s.core = ev.core;
-        s.label = ev.label;
+        s.label = events.label(ev);
         s.task = ev.a;
         s.cycles = ev.b;
         s.start = ev.time;
@@ -49,11 +51,11 @@ TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
         ComputeSpan s;
         s.seq = i;
         s.core = ev.core;
-        s.label = ev.label;
+        s.label = events.label(ev);
         s.cycles = ev.a;
         s.start = ev.time;
         s.finish = ev.time;
-        open_blocks[ev.core.index()] = v.computes_.size();
+        open_blocks[ev.core.index()] = {v.computes_.size(), ev.label};
         v.computes_.push_back(std::move(s));
         break;
       }
@@ -61,9 +63,9 @@ TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
         if (!ev.core.is_valid()) break;
         auto it = open_blocks.find(ev.core.index());
         if (it == open_blocks.end()) break;
-        ComputeSpan& s = v.computes_[it->second];
-        if (s.label != ev.label) break;  // stale block (crash/migration)
-        s.finish = ev.time;
+        const auto [idx, label] = it->second;
+        if (label != ev.label) break;  // stale block (crash/migration)
+        v.computes_[idx].finish = ev.time;
         open_blocks.erase(it);
         break;
       }
@@ -72,7 +74,7 @@ TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
         s.seq = i;
         s.src_core = ev.core;
         s.dst_core = ev.core;  // until the recv names the destination
-        s.label = ev.label;
+        s.label = events.label(ev);
         s.src_task = ev.a >> 32;
         s.dst_task = ev.a & 0xffffffffULL;
         s.bytes = ev.b;
@@ -123,7 +125,7 @@ TraceView TraceView::from_events(const std::vector<sim::TraceEvent>& events) {
   if (!open_tasks.empty() || !open_blocks.empty()) {
     std::vector<bool> open(v.computes_.size(), false);
     for (const auto& [task, idx] : open_tasks) open[idx] = true;
-    for (const auto& [core, idx] : open_blocks) open[idx] = true;
+    for (const auto& [core, block] : open_blocks) open[block.first] = true;
     std::size_t i = 0;
     drop_open(v.computes_, [&](const ComputeSpan&) { return open[i++]; });
   }

@@ -3,7 +3,7 @@
 // Every consumer that walks sim::TraceEvent streams by hand re-derives the
 // same pairing rules (start/end per core, send/recv per edge) with slightly
 // different bugs; TraceView is the one blessed decoder. It turns the flat
-// event vector into typed *spans* — compute, transfer and DMA segments with
+// event log into typed *spans* — compute, transfer and DMA segments with
 // resolved start/finish times and identities — and is the input contract of
 // rw::critpath's dependence-graph builder.
 //
@@ -81,7 +81,7 @@ class TraceView {
   /// Decode `events` (tolerant: unmatched or foreign events are counted in
   /// total_events() but produce no span). A zero-event trace yields a
   /// valid empty view.
-  static TraceView from_events(const std::vector<sim::TraceEvent>& events);
+  static TraceView from_events(const sim::TraceLog& events);
 
   [[nodiscard]] const std::vector<ComputeSpan>& computes() const {
     return computes_;

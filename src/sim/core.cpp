@@ -40,9 +40,26 @@ const char* pe_class_name(PeClass c) {
   return "?";
 }
 
+Core::Core(Kernel& kernel, Tracer& tracer, CoreId id, PeClass cls,
+           HertzT freq)
+    : kernel_(kernel),
+      tracer_(tracer),
+      id_(id),
+      cls_(cls),
+      freq_(freq),
+      nominal_freq_(freq),
+      labels_{tracer.intern("<idle>"),
+              tracer.intern("<crashed>"),
+              tracer.intern("dvfs"),
+              tracer.intern("fault.core_crash"),
+              tracer.intern("fault.core_recover"),
+              tracer.intern("fault.core_remap"),
+              tracer.intern("fault.core_stall")},
+      current_label_(labels_.idle) {}
+
 void Core::set_frequency(HertzT f) {
   if (f == freq_) return;
-  tracer_.record(kernel_.now(), TraceKind::kFreqChange, id_, "dvfs", f,
+  tracer_.record(kernel_.now(), TraceKind::kFreqChange, id_, labels_.dvfs, f,
                  freq_);
   for (Observer* o : tracer_.observers()) o->on_freq_change(id_, freq_, f);
   freq_ = f;
@@ -70,6 +87,8 @@ void Core::ComputeAwaitable::await_suspend(std::coroutine_handle<> h) {
 }
 
 void Core::start_compute(ComputeAwaitable* aw) {
+  if (&aw->core->tracer_ != &tracer_)  // migrated in from another tile
+    aw->label = tracer_.intern(aw->core->tracer_.label(aw->label));
   aw->core = this;
   if (failed_) {
     parked_.push_back(aw);
@@ -106,10 +125,13 @@ void Core::start_compute(ComputeAwaitable* aw) {
     std::erase(self->active_, aw);
     self->tracer_.record(self->kernel_.now(), TraceKind::kComputeEnd,
                          self->id_, aw->label, aw->cycles, 0);
-    for (Observer* o : self->tracer_.observers())
-      o->on_compute_block(self->id_, aw->label, aw->cycles, start,
-                          self->kernel_.now());
-    self->current_label_ = "<idle>";
+    if (!self->tracer_.observers().empty()) {
+      const std::string_view label = self->tracer_.label(aw->label);
+      for (Observer* o : self->tracer_.observers())
+        o->on_compute_block(self->id_, label, aw->cycles, start,
+                            self->kernel_.now());
+    }
+    self->current_label_ = self->labels_.idle;
     aw->handle.resume();
   });
 }
@@ -125,16 +147,16 @@ void Core::fail() {
   for (ComputeAwaitable* aw : active_) parked_.push_back(aw);
   active_.clear();
   busy_until_ = kernel_.now();  // the flushed reservations no longer occupy
-  current_label_ = "<crashed>";
-  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_crash",
+  current_label_ = labels_.crashed;
+  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, labels_.crash,
                  parked_.size(), 0);
 }
 
 void Core::recover() {
   if (!failed_) return;
   failed_ = false;
-  current_label_ = "<idle>";
-  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_recover",
+  current_label_ = labels_.idle;
+  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, labels_.recover,
                  parked_.size(), 0);
   // Re-execute everything that was lost, in park order (deterministic).
   std::vector<ComputeAwaitable*> lost;
@@ -145,7 +167,7 @@ void Core::recover() {
 std::size_t Core::migrate_parked(Core& to) {
   const std::size_t n = parked_.size();
   if (n == 0) return 0;
-  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_remap",
+  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, labels_.remap,
                  n, to.id_.value());
   std::vector<ComputeAwaitable*> lost;
   lost.swap(parked_);
@@ -156,7 +178,7 @@ std::size_t Core::migrate_parked(Core& to) {
 void Core::stall(DurationPs d) {
   ++stall_count_;
   busy_until_ = std::max(busy_until_, kernel_.now()) + d;
-  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_stall",
+  tracer_.record(kernel_.now(), TraceKind::kCustom, id_, labels_.stall,
                  d, 0);
 }
 

@@ -13,6 +13,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,13 +49,7 @@ bool seeded_defect_enabled();
 
 class Core {
  public:
-  Core(Kernel& kernel, Tracer& tracer, CoreId id, PeClass cls, HertzT freq)
-      : kernel_(kernel),
-        tracer_(tracer),
-        id_(id),
-        cls_(cls),
-        freq_(freq),
-        nominal_freq_(freq) {}
+  Core(Kernel& kernel, Tracer& tracer, CoreId id, PeClass cls, HertzT freq);
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -80,10 +75,12 @@ class Core {
   /// Awaitable: run `cycles` of computation labelled `label` on this core.
   /// `core` is a pointer (not a reference) because a parked computation can
   /// be migrated to a surviving core after a crash — see migrate_parked().
+  /// `label` is an id in `core`'s tracer table, re-interned on migration
+  /// to a core of another tile.
   struct ComputeAwaitable {
     Core* core;
     Cycles cycles;
-    std::string label;
+    LabelId label;
     TimePs finish = 0;
     std::coroutine_handle<> handle{};
     std::uint64_t issue = 0;  // globally-unique issue tag (see start_compute)
@@ -94,8 +91,8 @@ class Core {
   };
 
   [[nodiscard]] ComputeAwaitable compute(Cycles cycles,
-                                         std::string label = "work") {
-    return ComputeAwaitable{this, cycles, std::move(label)};
+                                         std::string_view label = "work") {
+    return ComputeAwaitable{this, cycles, intern_block_label(label)};
   }
 
   /// Fault model (rw::fault). fail() crashes the core: computation in
@@ -136,15 +133,25 @@ class Core {
   static constexpr std::size_t kNumRegs = 16;
   [[nodiscard]] std::uint64_t reg(std::size_t i) const { return regs_.at(i); }
   void set_reg(std::size_t i, std::uint64_t v) { regs_.at(i) = v; }
-  [[nodiscard]] const std::string& current_label() const {
-    return current_label_;
+  /// Label of the block the core is running, "<idle>" or "<crashed>".
+  [[nodiscard]] std::string_view current_label() const {
+    return tracer_.label(current_label_);
   }
+  /// The same label as an id in tracer()'s table.
+  [[nodiscard]] LabelId current_label_id() const { return current_label_; }
 
   [[nodiscard]] Kernel& kernel() { return kernel_; }
   [[nodiscard]] Tracer& tracer() { return tracer_; }
 
  private:
   friend struct ComputeAwaitable;
+  /// Intern a compute-block label, skipping the table lookup when the core
+  /// runs the same label as its previous block.
+  LabelId intern_block_label(std::string_view label) {
+    if (label != tracer_.label(last_block_label_))
+      last_block_label_ = tracer_.intern(label);
+    return last_block_label_;
+  }
   /// (Re)issue a compute block: reserve the core and schedule the start/end
   /// trace + resume events, or park `aw` when the core is crashed.
   void start_compute(ComputeAwaitable* aw);
@@ -191,7 +198,12 @@ class Core {
   Cycles cycles_executed_ = 0;
   DurationPs busy_time_ = 0;
   std::array<std::uint64_t, kNumRegs> regs_{};
-  std::string current_label_ = "<idle>";
+  // Fixed labels, interned once in tracer_'s table.
+  struct Labels {
+    LabelId idle, crashed, dvfs, crash, recover, remap, stall;
+  } labels_;
+  LabelId current_label_;
+  LabelId last_block_label_ = 0;  // intern_block_label()'s one-entry cache
 };
 
 }  // namespace rw::sim

@@ -19,6 +19,7 @@ RegionId MemorySystem::add_region(std::string name, Addr base,
   Region r;
   r.id = RegionId{static_cast<std::uint32_t>(regions_.size())};
   r.name = std::move(name);
+  r.label = tracer_.intern(r.name);
   r.base = base;
   r.size = size;
   r.access_latency = access_latency;
@@ -34,6 +35,7 @@ void MemorySystem::set_region_context(RegionId id, std::uint32_t tile,
   r.tile = tile;
   r.clock = clock;
   r.trace = trace;
+  r.label = tracer_of(r).intern(r.name);
 }
 
 const Region* MemorySystem::find_region(Addr a) const {
@@ -98,7 +100,7 @@ void MemorySystem::observe(const Region& r, CoreId core, Addr a,
   const TimePs now = clock_of(r).now();
   // Trace payload b: the value of a word access, the length of a block.
   t.record(now, is_write ? TraceKind::kMemWrite : TraceKind::kMemRead, core,
-           r.name, a, block ? size : value);
+           r.label, a, block ? size : value);
   if (t.observers().empty()) return;
   const MemAccess acc{now,      core,  a, static_cast<std::uint32_t>(size),
                       is_write, value, r.is_local() && r.owner == core,

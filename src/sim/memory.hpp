@@ -32,6 +32,7 @@ using RegionId = Id<RegionTag>;
 struct Region {
   RegionId id{};
   std::string name;
+  LabelId label = 0;  // `name` in the region's tile tracer table
   Addr base = 0;
   std::uint64_t size = 0;
   Cycles access_latency = 1;   // cycles per access at the accessing core

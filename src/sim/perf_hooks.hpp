@@ -17,7 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -45,8 +45,11 @@ class Observer {
   virtual ~Observer();
 
   // --- trace ---
-  /// Every trace event, whether or not the tracer retains it.
-  virtual void on_trace(const TraceEvent& ev) { (void)ev; }
+  /// Every trace event, whether or not the tracer retains it, with its
+  /// label resolved (the view outlives the call; see LabelTable).
+  virtual void on_trace(const TraceEvent& ev, std::string_view label) {
+    (void)ev, (void)label;
+  }
 
   // --- core ---
   /// Core `core` reserved `cycles` of work over [start, finish] at clock
@@ -58,7 +61,7 @@ class Observer {
   }
   /// A labelled compute block retired (fires at the block's end event, so
   /// the timestamps are final). Start/finish bracket the whole block.
-  virtual void on_compute_block(CoreId core, const std::string& label,
+  virtual void on_compute_block(CoreId core, std::string_view label,
                                 Cycles cycles, TimePs start, TimePs finish) {
     (void)core, (void)label, (void)cycles, (void)start, (void)finish;
   }

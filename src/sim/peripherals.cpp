@@ -17,6 +17,8 @@ InterruptController::InterruptController(Kernel& kernel, Tracer& tracer)
         std::make_unique<Signal>(strformat("irq%zu", i), tracer_));
   handlers_.resize(kNumLines);
   drop_pending_.assign(kNumLines, 0);
+  label_ = tracer_.intern(name());
+  drop_label_ = tracer_.intern("irqc.drop");
 }
 
 void InterruptController::inject_drops(std::size_t line, std::uint64_t n) {
@@ -29,14 +31,14 @@ void InterruptController::raise(std::size_t line) {
   if (drop_pending_[line] > 0) {
     --drop_pending_[line];
     ++dropped_count_;
-    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, "irqc.drop",
+    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, drop_label_,
                    line, 0);
     return;  // lost on the wire: no pending bit, no dispatch
   }
   ++raised_count_;
   pending_ |= (1ULL << line);
   lines_[line]->raise();
-  tracer_.record(kernel_.now(), TraceKind::kIrqRaise, CoreId{}, name(), line,
+  tracer_.record(kernel_.now(), TraceKind::kIrqRaise, CoreId{}, label_, line,
                  is_masked(line));
   if (!is_masked(line)) dispatch(line);
 }
@@ -55,7 +57,7 @@ void InterruptController::ack(std::size_t line) {
   if (line >= kNumLines) throw std::out_of_range("irq line out of range");
   pending_ &= ~(1ULL << line);
   lines_[line]->lower();
-  tracer_.record(kernel_.now(), TraceKind::kIrqAck, CoreId{}, name(), line,
+  tracer_.record(kernel_.now(), TraceKind::kIrqAck, CoreId{}, label_, line,
                  0);
 }
 
@@ -223,7 +225,10 @@ DmaEngine::DmaEngine(Kernel& kernel, Tracer& tracer, MemorySystem& memory,
       icn_(icn),
       irqc_(irqc),
       irq_line_(irq_line),
-      busy_signal_("dma.busy", tracer) {}
+      busy_signal_("dma.busy", tracer),
+      label_(tracer.intern(name())),
+      reject_label_(tracer.intern("dma.reject")),
+      abort_label_(tracer.intern("dma.abort")) {}
 
 bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
                       EventFn on_done) {
@@ -232,13 +237,13 @@ bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
   // no-op completion would hide the bug from both software and the trace.
   if (len == 0) {
     error_ = kErrZeroLength;
-    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, "dma.reject",
+    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, reject_label_,
                    kErrZeroLength, src);
     return false;
   }
   if (src < dst + len && dst < src + len) {
     error_ = kErrOverlap;
-    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, "dma.reject",
+    tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, reject_label_,
                    kErrOverlap, src);
     return false;
   }
@@ -249,7 +254,7 @@ bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
   len_ = len;
   on_done_ = std::move(on_done);
   busy_signal_.raise();
-  tracer_.record(kernel_.now(), TraceKind::kDmaStart, CoreId{}, name(), src,
+  tracer_.record(kernel_.now(), TraceKind::kDmaStart, CoreId{}, label_, src,
                  len);
 
   // Transfer time over the interconnect (DMA acts as an anonymous master).
@@ -272,7 +277,7 @@ bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
     busy_ = false;
     ++done_count_;
     busy_signal_.lower();
-    tracer_.record(kernel_.now(), TraceKind::kDmaEnd, CoreId{}, name(),
+    tracer_.record(kernel_.now(), TraceKind::kDmaEnd, CoreId{}, label_,
                    dst_, len_);
     for (Observer* o : tracer_.observers())
       o->on_dma(len_, started, kernel_.now());
@@ -290,7 +295,7 @@ bool DmaEngine::abort() {
   error_ = kErrAborted;
   on_done_ = {};
   busy_signal_.lower();
-  tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, "dma.abort",
+  tracer_.record(kernel_.now(), TraceKind::kCustom, CoreId{}, abort_label_,
                  src_, len_);
   // The completion IRQ still fires: software polls ERROR, sees kErrAborted,
   // and knows the destination block never arrived.
@@ -337,7 +342,12 @@ std::vector<Signal*> DmaEngine::signals() { return {&busy_signal_}; }
 // ------------------------------------------------------------ HwSemaphores
 
 HwSemaphores::HwSemaphores(Kernel& kernel, Tracer& tracer, std::size_t cells)
-    : Peripheral("hwsem"), kernel_(kernel), tracer_(tracer) {
+    : Peripheral("hwsem"),
+      kernel_(kernel),
+      tracer_(tracer),
+      acquire_label_(tracer.intern("hwsem.acquire")),
+      release_label_(tracer.intern("hwsem.release")),
+      force_label_(tracer.intern("hwsem.force_release")) {
   holders_.assign(cells, CoreId{});
 }
 
@@ -345,7 +355,7 @@ bool HwSemaphores::try_acquire(std::size_t cell, CoreId by) {
   auto& holder = holders_.at(cell);
   if (holder.is_valid()) return false;
   holder = by;
-  tracer_.record(kernel_.now(), TraceKind::kCustom, by, "hwsem.acquire",
+  tracer_.record(kernel_.now(), TraceKind::kCustom, by, acquire_label_,
                  cell, 1);
   return true;
 }
@@ -355,15 +365,15 @@ void HwSemaphores::release(std::size_t cell, CoreId by) {
   if (holder != by)
     throw std::logic_error("semaphore released by a non-holder");
   holder = CoreId{};
-  tracer_.record(kernel_.now(), TraceKind::kCustom, by, "hwsem.release",
+  tracer_.record(kernel_.now(), TraceKind::kCustom, by, release_label_,
                  cell, 0);
 }
 
 bool HwSemaphores::force_release(std::size_t cell) {
   auto& holder = holders_.at(cell);
   if (!holder.is_valid()) return false;
-  tracer_.record(kernel_.now(), TraceKind::kCustom, holder,
-                 "hwsem.force_release", cell, 0);
+  tracer_.record(kernel_.now(), TraceKind::kCustom, holder, force_label_,
+                 cell, 0);
   holder = CoreId{};
   return true;
 }

@@ -110,6 +110,7 @@ class InterruptController final : public Peripheral {
   std::vector<std::uint64_t> drop_pending_;  // armed drops per line
   std::vector<std::unique_ptr<Signal>> lines_;
   std::vector<Handler> handlers_;
+  LabelId label_ = 0, drop_label_ = 0;  // fixed trace labels
 };
 
 /// Programmable periodic / one-shot timer bound to an interrupt line.
@@ -219,6 +220,7 @@ class DmaEngine final : public Peripheral {
   // completion callback lives here instead of inside the kernel event —
   // the event capture then stays within EventFn's inline buffer.
   EventFn on_done_;
+  LabelId label_, reject_label_, abort_label_;  // fixed trace labels
 };
 
 /// Bank of hardware test-and-set semaphores (one register per cell).
@@ -250,6 +252,7 @@ class HwSemaphores final : public Peripheral {
   Kernel& kernel_;
   Tracer& tracer_;
   std::vector<CoreId> holders_;
+  LabelId acquire_label_, release_label_, force_label_;  // trace labels
 };
 
 }  // namespace rw::sim

@@ -49,6 +49,8 @@ class TileLink {
         dst_kernel_(&plat.tile_kernel(dst_tile_)),
         src_tracer_(&plat.tile_tracer(src_tile_)),
         dst_tracer_(&plat.tile_tracer(dst_tile_)),
+        src_label_(src_tracer_->intern(name_)),
+        dst_label_(dst_tracer_->intern(name_)),
         credits_(capacity) {
     assert(capacity >= 1);
     const PlatformConfig& cfg = plat.config();
@@ -159,7 +161,7 @@ class TileLink {
     link_free_ = depart + occupancy_;
     const TimePs at = depart + latency_;
     ++total_sent_;
-    src_tracer_->record(now, TraceKind::kMsgSend, src_core_, name_,
+    src_tracer_->record(now, TraceKind::kMsgSend, src_core_, src_label_,
                         total_sent_, at);
     post_to(src_tile_, dst_tile_, *dst_kernel_, at,
             [this, v = std::move(v)]() mutable { arrive(std::move(v)); });
@@ -171,7 +173,7 @@ class TileLink {
   void arrive(T v) {
     ++total_delivered_;
     dst_tracer_->record(dst_kernel_->now(), TraceKind::kMsgRecv, dst_core_,
-                        name_, total_delivered_, 0);
+                        dst_label_, total_delivered_, 0);
     if (!recv_waiters_.empty()) {
       RecvAwaitable* w = recv_waiters_.front();
       recv_waiters_.pop_front();
@@ -210,6 +212,8 @@ class TileLink {
   Kernel* dst_kernel_;
   Tracer* src_tracer_;
   Tracer* dst_tracer_;
+  LabelId src_label_;  // name_ in each endpoint's tracer table
+  LabelId dst_label_;
 
   DurationPs latency_ = 1;
   DurationPs occupancy_ = 0;

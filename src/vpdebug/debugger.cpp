@@ -25,12 +25,12 @@ Debugger::Debugger(sim::Platform& platform) : platform_(platform) {
   platform_.attach(*this);
 }
 
-void Debugger::on_trace(const sim::TraceEvent& ev) {
+void Debugger::on_trace(const sim::TraceEvent& ev, std::string_view label) {
   if (ev.kind != sim::TraceKind::kComputeStart) return;
-  for (const auto& label : task_breaks_) {
-    if (ev.label.find(label) != std::string::npos) {
+  for (const auto& task : task_breaks_) {
+    if (label.find(task) != std::string_view::npos) {
       request_stop(StopKind::kBreakpointTask,
-                   "task '" + ev.label + "' started on core" +
+                   "task '" + std::string(label) + "' started on core" +
                        std::to_string(ev.core.value()));
     }
   }
@@ -182,7 +182,8 @@ std::uint64_t Debugger::core_register(std::size_t core,
 }
 
 std::string Debugger::core_task(std::size_t core) const {
-  return const_cast<sim::Platform&>(platform_).core(core).current_label();
+  return std::string(
+      const_cast<sim::Platform&>(platform_).core(core).current_label());
 }
 
 std::uint64_t Debugger::peripheral_register(const std::string& periph,
@@ -216,7 +217,7 @@ std::string Debugger::snapshot() const {
     s += strformat("core%zu [%s @%s] task=%s r0=%llu r1=%llu\n", c,
                    sim::pe_class_name(core.pe_class()),
                    format_hz(core.frequency()).c_str(),
-                   core.current_label().c_str(),
+                   std::string(core.current_label()).c_str(),
                    static_cast<unsigned long long>(core.reg(0)),
                    static_cast<unsigned long long>(core.reg(1)));
   }

@@ -86,7 +86,7 @@ class Debugger final : public sim::Observer {
   [[nodiscard]] sim::Platform& platform() { return platform_; }
 
   // sim::Observer: breakpoints and watchpoints.
-  void on_trace(const sim::TraceEvent& ev) override;
+  void on_trace(const sim::TraceEvent& ev, std::string_view label) override;
   void on_mem_access(const sim::MemAccess& acc) override;
   void on_signal(const sim::Signal& sig, bool old_level) override;
 

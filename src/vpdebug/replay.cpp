@@ -16,7 +16,7 @@ constexpr auto kFnvPrimePow = [] {
   return p;
 }();
 
-std::uint64_t fold_str(std::uint64_t h, const std::string& s) {
+std::uint64_t fold_str(std::uint64_t h, std::string_view s) {
   for (const char c : s) {
     h ^= static_cast<std::uint8_t>(c);
     h *= kFnvPrime;
@@ -66,12 +66,13 @@ std::uint64_t ExecutionRecorder::events() const {
   return n;
 }
 
-void ExecutionRecorder::Slot::on_trace(const sim::TraceEvent& ev) {
+void ExecutionRecorder::Slot::on_trace(const sim::TraceEvent& ev,
+                                       std::string_view label) {
   ++count;
   hash = fnv1a_fold_u64(hash, ev.time);
   hash = fnv1a_fold_u64(hash, static_cast<std::uint64_t>(ev.kind));
   hash = fnv1a_fold_u64(hash, ev.core.is_valid() ? ev.core.value() : ~0ULL);
-  hash = fold_str(hash, ev.label);
+  hash = fold_str(hash, label);
   hash = fnv1a_fold_u64(hash, ev.a);
   hash = fnv1a_fold_u64(hash, ev.b);
 }

@@ -50,7 +50,7 @@ class ExecutionRecorder {
   struct Slot final : sim::Observer {
     std::uint64_t hash = 1469598103934665603ULL;
     std::uint64_t count = 0;
-    void on_trace(const sim::TraceEvent& ev) override;
+    void on_trace(const sim::TraceEvent& ev, std::string_view label) override;
   };
 
   std::vector<Slot> slots_;  // one per tile; each written by one tile only

@@ -8,20 +8,21 @@
 
 namespace rw::vpdebug {
 
-std::vector<ExecutedBlock> function_history(
-    const std::vector<sim::TraceEvent>& trace, sim::CoreId core) {
+std::vector<ExecutedBlock> function_history(const sim::TraceLog& trace,
+                                            sim::CoreId core) {
   std::vector<ExecutedBlock> out;
-  std::vector<ExecutedBlock> open;  // compute blocks may nest per label
+  // Compute blocks may nest per label: open (label id, start) pairs.
+  std::vector<std::pair<sim::LabelId, TimePs>> open;
   for (const auto& ev : trace) {
     if (ev.core != core) continue;
     if (ev.kind == sim::TraceKind::kComputeStart) {
-      open.push_back(ExecutedBlock{ev.label, ev.time, 0});
+      open.emplace_back(ev.label, ev.time);
     } else if (ev.kind == sim::TraceKind::kComputeEnd) {
       // Close the most recent open block with this label.
       for (auto it = open.rbegin(); it != open.rend(); ++it) {
-        if (it->label == ev.label && it->end == 0) {
-          it->end = ev.time;
-          out.push_back(*it);
+        if (it->first == ev.label) {
+          out.push_back(ExecutedBlock{std::string(trace.label(ev)),
+                                      it->second, ev.time});
           open.erase(std::next(it).base());
           break;
         }
@@ -35,7 +36,7 @@ std::vector<ExecutedBlock> function_history(
   return out;
 }
 
-std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
+std::string render_gantt(const sim::TraceLog& trace,
                          std::size_t num_cores, TimePs t0, TimePs t1,
                          std::size_t width) {
   if (t1 <= t0 || width == 0) return "";
@@ -73,7 +74,7 @@ std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
   return out;
 }
 
-std::string export_vcd(const std::vector<sim::TraceEvent>& trace,
+std::string export_vcd(const sim::TraceLog& trace,
                        std::size_t num_cores) {
   // Which IRQ lines ever appear?
   std::set<std::uint64_t> irq_lines;

@@ -29,18 +29,18 @@ struct ExecutedBlock {
 
 /// All compute blocks executed on `core`, in time order (paired from the
 /// kComputeStart/kComputeEnd events of the trace).
-std::vector<ExecutedBlock> function_history(
-    const std::vector<sim::TraceEvent>& trace, sim::CoreId core);
+std::vector<ExecutedBlock> function_history(const sim::TraceLog& trace,
+                                            sim::CoreId core);
 
 /// ASCII Gantt chart of core activity over [t0, t1], `width` columns.
 /// Each core is one row; letters index into the legend of block labels.
-std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
+std::string render_gantt(const sim::TraceLog& trace,
                          std::size_t num_cores, TimePs t0, TimePs t1,
                          std::size_t width = 64);
 
 /// Value-change-dump with one wire per core (busy) and per raised IRQ
 /// line. Timescale 1 ps.
-std::string export_vcd(const std::vector<sim::TraceEvent>& trace,
+std::string export_vcd(const sim::TraceLog& trace,
                        std::size_t num_cores);
 
 }  // namespace rw::vpdebug

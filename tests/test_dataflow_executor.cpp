@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 #include "dataflow/buffers.hpp"
 
@@ -250,6 +253,34 @@ TEST(Buffers, InfeasiblePeriodReported) {
   const auto g = radio_chain(/*fir=*/200'000);  // can't keep up
   const auto sizing = compute_buffer_capacities(g, radio_cfg());
   EXPECT_FALSE(sizing.wait_free);
+}
+
+TEST(Buffers, RateMismatchedSinkFailsWithTheScheduleError) {
+  // src -> A at rates 1:2: the sink A fires once per iteration, but the
+  // source twice, so no periodic schedule exists. The executor must say
+  // so instead of ticking the sink from offset 0 into underruns, which
+  // buffer sizing would misreport as an unsustainable period.
+  Graph g;
+  const auto s = g.add_actor("src", 1'000, 0);
+  const auto a = g.add_actor("A", 1'000, 1);
+  g.connect(s, a, 1, 2);
+  const auto sched = compute_static_schedule(g, radio_cfg());
+  ASSERT_FALSE(sched.ok());
+  const std::string why = sched.error().to_string();
+  EXPECT_NE(why.find("'src' must fire exactly once"), std::string::npos);
+  EXPECT_FALSE(check_periodic_boundaries(g).ok());
+  for (const bool sizing : {false, true}) {
+    try {
+      if (sizing)
+        (void)compute_buffer_capacities(g, radio_cfg());
+      else
+        (void)run_data_driven(g, radio_cfg());
+      ADD_FAILURE() << "no error (sizing=" << sizing << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Buffers, TighterPeriodNeedsMoreBuffering) {

@@ -118,6 +118,26 @@ TEST(LintPassManager, InapplicablePassesAreRecordedNotRun) {
   }
 }
 
+TEST(LintPassManager, BufferBoundsNamesARateMismatchedSink) {
+  // src -> snk at rates 1:2: the source fires twice per iteration, so the
+  // periodic timers cannot drive the graph. The pass reports that cause,
+  // not an unsustainable period.
+  dataflow::Graph g;
+  const auto src = g.add_actor("src", 10, 0);
+  const auto snk = g.add_actor("snk", 10, 1);
+  g.connect(src, snk, 1, 2);
+  Target t;
+  t.name = "mismatched";
+  t.dataflow = &g;
+  auto pm = PassManager::with_default_passes();
+  pm.enable_only({"buffer-bounds"});
+  const auto result = pm.run(t);
+  ASSERT_EQ(result.diagnostics.size(), 1u);
+  EXPECT_EQ(result.diagnostics[0].kind, "no-periodic-schedule");
+  EXPECT_NE(result.diagnostics[0].message.find("'src' must fire exactly once"),
+            std::string::npos);
+}
+
 // -------------------------------------------------- corpus: seeded defects
 
 TEST(LintCorpus, EveryInjectedDefectIsFlagged) {

@@ -163,7 +163,7 @@ TEST(ExportTest, EmptyInputsProduceValidSkeletons) {
 // The Chrome exporter as first written on json::Writer: every number
 // through Writer::value(double). The real exporter must emit the same
 // bytes by its integer fast path.
-std::string oracle_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
+std::string oracle_chrome_trace(const sim::TraceLog& trace) {
   json::Writer w(/*pretty=*/false);
   w.begin_object();
   w.key("displayTimeUnit").value("ns");
@@ -176,10 +176,10 @@ std::string oracle_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
     if (ev.kind == sim::TraceKind::kComputeStart) {
       open[c] = &ev;
     } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
-               ev.label == open[c]->label) {
+               trace.label(ev) == trace.label(*open[c])) {
       const TimePs start = open[c]->time;
       w.begin_object();
-      w.key("name").value(ev.label);
+      w.key("name").value(trace.label(ev));
       w.key("cat").value("compute");
       w.key("ph").value("X");
       w.key("ts").value(static_cast<double>(start) * 1e-6);
@@ -195,26 +195,19 @@ std::string oracle_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
   return w.str() + "\n";
 }
 
-sim::TraceEvent trace_event(TimePs time, sim::TraceKind kind, sim::CoreId core,
-                            std::string label) {
-  sim::TraceEvent ev;
-  ev.time = time;
-  ev.kind = kind;
-  ev.core = core;
-  ev.label = std::move(label);
-  return ev;
+void add_event(sim::TraceLog& t, TimePs time, sim::TraceKind kind,
+               sim::CoreId core, std::string_view label) {
+  t.push_back(sim::TraceEvent{time, 0, 0, core, kind, t.labels().intern(label)});
 }
 
-void add_block(std::vector<sim::TraceEvent>& t, std::uint32_t core,
-               TimePs start, TimePs end, const std::string& label = "b") {
-  t.push_back(trace_event(start, sim::TraceKind::kComputeStart,
-                          sim::CoreId{core}, label));
-  t.push_back(
-      trace_event(end, sim::TraceKind::kComputeEnd, sim::CoreId{core}, label));
+void add_block(sim::TraceLog& t, std::uint32_t core, TimePs start, TimePs end,
+               std::string_view label = "b") {
+  add_event(t, start, sim::TraceKind::kComputeStart, sim::CoreId{core}, label);
+  add_event(t, end, sim::TraceKind::kComputeEnd, sim::CoreId{core}, label);
 }
 
 /// Blocks that put `ps` in both number positions: once as ts, once as dur.
-void add_value(std::vector<sim::TraceEvent>& t, TimePs ps) {
+void add_value(sim::TraceLog& t, TimePs ps) {
   add_block(t, 0, ps, ps);
   add_block(t, 1, 0, ps);
 }
@@ -276,13 +269,13 @@ TEST(ChromeExportOracle, SyntheticTimesAcrossEveryNumberPath) {
   EXPECT_GT(exact, 10'000u);
   EXPECT_GT(inexact, 1'000u);
 
-  std::vector<sim::TraceEvent> trace;
+  sim::TraceLog trace;
   for (const TimePs ps : values) add_value(trace, ps);
   EXPECT_EQ(to_chrome_trace(trace), oracle_chrome_trace(trace));
 }
 
 TEST(ChromeExportOracle, LabelsNeedingEscapes) {
-  std::vector<sim::TraceEvent> trace;
+  sim::TraceLog trace;
   const std::string labels[] = {"quote\"d", "back\\slash", "tab\there",
                                 std::string("ctl\x01" "byte"), "",
                                 "nl\nand\rcr"};
@@ -308,28 +301,30 @@ TEST(ChromeExportOracle, LabelsNeedingEscapes) {
 
 TEST(ChromeExportOracle, UnmatchedEventsAndInvalidCores) {
   using K = sim::TraceKind;
-  std::vector<sim::TraceEvent> trace = {
-      // An end with no start, then a start that never ends.
-      trace_event(5'000, K::kComputeEnd, sim::CoreId{0}, "orphan"),
-      trace_event(6'000, K::kComputeStart, sim::CoreId{1}, "never_ends"),
-      // An end whose label differs from the open start.
-      trace_event(7'000, K::kComputeStart, sim::CoreId{0}, "a"),
-      trace_event(8'000, K::kComputeEnd, sim::CoreId{0}, "b"),
-      // A restarted block: the second start replaces the first.
-      trace_event(9'000, K::kComputeStart, sim::CoreId{2}, "x"),
-      trace_event(9'500, K::kComputeStart, sim::CoreId{2}, "x"),
-      trace_event(12'345'678, K::kComputeEnd, sim::CoreId{2}, "x"),
-      // Invalid cores are skipped, even with a matching pair.
-      trace_event(10'000, K::kComputeStart, sim::CoreId{}, "nocore"),
-      trace_event(11'000, K::kComputeEnd, sim::CoreId{}, "nocore"),
-      // Other kinds in between, and a core far above the rest.
-      trace_event(11'500, K::kMemRead, sim::CoreId{0}, ""),
-      trace_event(12'000, K::kComputeStart, sim::CoreId{40}, "far"),
-      trace_event(13'000, K::kCustom, sim::CoreId{40}, "far"),
-      trace_event(14'000, K::kComputeEnd, sim::CoreId{40}, "far"),
-      // The label-mismatched block on core 0 is still open: close it.
-      trace_event(15'000, K::kComputeEnd, sim::CoreId{0}, "a"),
+  sim::TraceLog trace;
+  auto add = [&](TimePs time, K kind, sim::CoreId core, std::string_view l) {
+    add_event(trace, time, kind, core, l);
   };
+  // An end with no start, then a start that never ends.
+  add(5'000, K::kComputeEnd, sim::CoreId{0}, "orphan");
+  add(6'000, K::kComputeStart, sim::CoreId{1}, "never_ends");
+  // An end whose label differs from the open start.
+  add(7'000, K::kComputeStart, sim::CoreId{0}, "a");
+  add(8'000, K::kComputeEnd, sim::CoreId{0}, "b");
+  // A restarted block: the second start replaces the first.
+  add(9'000, K::kComputeStart, sim::CoreId{2}, "x");
+  add(9'500, K::kComputeStart, sim::CoreId{2}, "x");
+  add(12'345'678, K::kComputeEnd, sim::CoreId{2}, "x");
+  // Invalid cores are skipped, even with a matching pair.
+  add(10'000, K::kComputeStart, sim::CoreId{}, "nocore");
+  add(11'000, K::kComputeEnd, sim::CoreId{}, "nocore");
+  // Other kinds in between, and a core far above the rest.
+  add(11'500, K::kMemRead, sim::CoreId{0}, "");
+  add(12'000, K::kComputeStart, sim::CoreId{40}, "far");
+  add(13'000, K::kCustom, sim::CoreId{40}, "far");
+  add(14'000, K::kComputeEnd, sim::CoreId{40}, "far");
+  // The label-mismatched block on core 0 is still open: close it.
+  add(15'000, K::kComputeEnd, sim::CoreId{0}, "a");
   const std::string got = to_chrome_trace(trace);
   EXPECT_EQ(got, oracle_chrome_trace(trace));
   const auto doc = json::parse(got);

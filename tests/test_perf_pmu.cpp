@@ -264,7 +264,7 @@ ComposeRun run_composed(const sim::PlatformConfig& base,
   r.pmu_b = pmu_b.snapshot(r.makespan);
   for (std::uint32_t t = 0; t < plat.tile_count(); ++t)
     for (const sim::TraceEvent& ev : plat.tile_tracer(t).events())
-      r.trace.push_back(ev.to_string());
+      r.trace.push_back(ev.to_string(plat.tile_tracer(t).events().label(ev)));
   return r;
 }
 

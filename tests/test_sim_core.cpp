@@ -98,7 +98,8 @@ TEST_F(CoreTest, ComputeEmitsStartEndTraces) {
   kernel.run();
   EXPECT_EQ(tracer.filter(TraceKind::kComputeStart).size(), 1u);
   EXPECT_EQ(tracer.filter(TraceKind::kComputeEnd).size(), 1u);
-  EXPECT_EQ(tracer.filter(TraceKind::kComputeStart)[0].label, "kernel_fn");
+  EXPECT_EQ(tracer.label(tracer.filter(TraceKind::kComputeStart)[0].label),
+            "kernel_fn");
 }
 
 TEST_F(CoreTest, RegistersReadablePerDebugger) {

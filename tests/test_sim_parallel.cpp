@@ -5,6 +5,7 @@
 // kSequential reference across the whole workload/fault corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -371,6 +372,47 @@ TEST(ParallelCorpus, AllTileZeroMatchesPlainKernel) {
     EXPECT_EQ(plain.fingerprint, tiled.tile0_fingerprint) << wl.name;
     EXPECT_EQ(plain.events, tiled.events) << wl.name;
   }
+}
+
+// Each tile interns labels in its own table. A 2-tile parallel
+// tiled_pipeline must resolve every event's label on its own tile's table
+// to the same text, in the same order, as the sequential run.
+TEST(ParallelCorpus, LabelsResolveOnTheirOwnTilesTable) {
+  auto resolved = [](sim::ExecMode mode) {
+    sim::PlatformConfig cfg = corpus_config(2, /*partition=*/true);
+    cfg.kernel.exec = mode;
+    sim::Platform p(cfg);
+    p.engine()->set_force_threads(true);
+    perf::spawn_workload("tiled_pipeline", p, /*seed=*/5, /*scale=*/2);
+    p.run();
+    EXPECT_EQ(p.engine()->last_run_parallel(),
+              mode == sim::ExecMode::kParallel);
+    std::vector<std::vector<std::string>> out(p.tile_count());
+    for (std::uint32_t t = 0; t < p.tile_count(); ++t) {
+      const sim::TraceLog& log = p.tile_tracer(t).events();
+      for (const sim::TraceEvent& ev : log)
+        out[t].push_back(ev.to_string(log.label(ev)));
+    }
+    return out;
+  };
+  const auto seq = resolved(sim::ExecMode::kSequential);
+  const auto par = resolved(sim::ExecMode::kParallel);
+  ASSERT_EQ(seq.size(), 2u);
+  EXPECT_EQ(seq, par);
+  // Cores 0-1 run on tile 0 and cores 2-3 on tile 1; the link between
+  // them is sent on tile 0 and received on tile 1, each under its name.
+  auto has = [](const std::vector<std::string>& tile, const char* kind,
+                const char* label) {
+    return std::any_of(tile.begin(), tile.end(), [&](const std::string& e) {
+      return e.find(kind) != std::string::npos &&
+             e.find(label) != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(has(par[0], "compute_start", "tstage1"));
+  EXPECT_FALSE(has(par[0], "compute_start", "tstage2"));
+  EXPECT_TRUE(has(par[1], "compute_start", "tstage3"));
+  EXPECT_TRUE(has(par[0], "msg_send", "tlink1"));
+  EXPECT_TRUE(has(par[1], "msg_recv", "tlink1"));
 }
 
 TEST(ParallelCorpus, CrossTileMemoryAccessThrows) {
